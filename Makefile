@@ -114,13 +114,14 @@ bench:
 bench-sched:
 	python benchmarks/bench_scheduler.py
 
-# Incremental-vs-fresh SAT ablation (persistent assumption-based
-# solving vs a fresh solver per query); writes BENCH_solver.json.
+# Incremental-vs-fresh SAT ablation on subrosa's XWitnessEncoder
+# (persistent assumption-based solving vs a fresh solver per query);
+# writes BENCH_solver.json.
 bench-solver:
 	python benchmarks/bench_solver.py
 
-# Fast CI assertion that a real analysis exercises the incremental
-# path: >0 assumption queries, zero Fig. 7 re-encodes per S-AEG.
+# Fast CI check that subrosa's persistent solver and the fresh-solver
+# reference agree on a short require/forbid + enumeration stream.
 bench-smoke:
 	python benchmarks/bench_solver.py --smoke
 

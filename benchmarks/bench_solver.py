@@ -1,14 +1,14 @@
-"""SAT solver benchmarks: the Z3-substitute must stay fast enough for
-the S-AEG realizability queries and subrosa encodings.
+"""SAT solver benchmarks: the Z3 substitute must stay fast enough for
+subrosa's relational encodings.
 
 Besides the pytest-benchmark micro-benchmarks, this module carries the
 incremental-vs-fresh ablation (``solver_ablation``): the same query
-stream answered by the persistent assumption-based layer (PathOracle /
-XWitnessEncoder's long-lived solver) and by the fresh-solver-per-query
-reference paths.  ``python benchmarks/bench_solver.py`` (or
-``make bench-solver``) prints the table and writes the machine-readable
-baseline to ``benchmarks/BENCH_solver.json``; ``--smoke`` runs the fast
-CI assertion that the incremental path is actually in use.
+stream over subrosa's ``XWitnessEncoder`` answered by its long-lived
+assumption-based solver and by the fresh-solver-per-query reference
+paths.  ``python benchmarks/bench_solver.py`` (or ``make bench-solver``)
+prints the table and writes the machine-readable baseline to
+``benchmarks/BENCH_solver.json``; ``--smoke`` runs the fast CI check
+that both paths agree on a short stream.
 """
 
 import json
@@ -20,7 +20,6 @@ import time
 import pytest
 
 from repro.solver import SatSolver, encode, exactly_one, var
-from repro.sched import AnalysisRequest
 
 
 def _pigeonhole(pigeons, holes):
@@ -82,68 +81,18 @@ def test_exactly_one_grid(benchmark):
     assert benchmark(run) is not None
 
 
-def test_aeg_realizability_queries(benchmark):
-    """Fig. 7-style path queries over a real S-AEG."""
-    from repro.bench.suites import by_name
-    from repro.clou import SAEG, build_acfg
-    from repro.minic import compile_c
-
-    module = compile_c(by_name("pht03").source)
-    aeg = SAEG(build_acfg(module, "victim_function_v03").function)
-    nodes = aeg.memory_nodes()
-
-    def run():
-        results = []
-        for i in range(len(nodes) - 1):
-            results.append(aeg.realizable([nodes[i], nodes[i + 1]]))
-        return results
-
-    results = benchmark(run)
-    assert all(isinstance(r, bool) for r in results)
-
-
 # ----------------------------------------------------------------------
 # Incremental-vs-fresh ablation
 # ----------------------------------------------------------------------
 
 REPEATS = 3
+SMOKE_MODELS = 120    # enumeration cap for the smoke run
 
 
-def _aeg_for(case_name, function_name):
-    from repro.bench.suites import by_name
-    from repro.clou import SAEG, build_acfg
-    from repro.minic import compile_c
-
-    module = compile_c(by_name(case_name).source)
-    return SAEG(build_acfg(module, function_name).function)
-
-
-def _realizable_workload(case_name, function_name):
-    """The engines' query shape: many small block-footprint queries with
-    heavy repetition (candidate chains share footprints)."""
-    incremental_aeg = _aeg_for(case_name, function_name)
-    fresh_aeg = _aeg_for(case_name, function_name)
-    nodes = incremental_aeg.memory_nodes() + incremental_aeg.branches()
-    pairs = [[a, b] for i, a in enumerate(nodes) for b in nodes[i + 1:]]
-    stream = ([[n] for n in nodes] + pairs) * REPEATS
-
-    started = time.perf_counter()
-    fresh = [fresh_aeg.realizable_fresh(nodes) for nodes in stream]
-    t_fresh = time.perf_counter() - started
-
-    started = time.perf_counter()
-    incremental = [incremental_aeg.realizable(nodes) for nodes in stream]
-    t_incremental = time.perf_counter() - started
-
-    assert incremental == fresh
-    assert incremental_aeg.path_oracle.encodes == 1
-    return {"name": f"realizable/{case_name}", "queries": len(stream),
-            "fresh_seconds": t_fresh, "incremental_seconds": t_incremental}
-
-
-def _subrosa_workload():
+def _subrosa_workload(repeats=REPEATS, limit=10_000):
     """subrosa's shape: partial-instance require/forbid queries plus
-    repeated full enumerations over one litmus execution."""
+    repeated enumerations (of at most ``limit`` models) over one litmus
+    execution."""
     from repro.lcm.xstate import DirectMappedPolicy
     from repro.litmus import elaborate, parse_program
     from repro.mcm import TSO, consistent_executions
@@ -155,11 +104,11 @@ def _subrosa_workload():
 
     def run(encoder, solve, enumerate_models):
         verdicts = []
-        for _ in range(REPEATS):
+        for _ in range(repeats):
             for edge in encoder.candidate_edges():
                 verdicts.append(solve(require=[edge]) is None)
                 verdicts.append(solve(forbid=[edge]) is None)
-            verdicts.append(sum(1 for _ in enumerate_models()))
+            verdicts.append(sum(1 for _ in enumerate_models(limit)))
         return verdicts
 
     fresh_encoder = XWitnessEncoder(execution, DirectMappedPolicy())
@@ -180,11 +129,7 @@ def _subrosa_workload():
 
 def solver_ablation():
     """All ablation rows; each row's speedup = fresh / incremental."""
-    rows = [
-        _realizable_workload("pht03", "victim_function_v03"),
-        _realizable_workload("pht13", "victim_function_v13"),
-        _subrosa_workload(),
-    ]
+    rows = [_subrosa_workload()]
     for row in rows:
         row["speedup"] = row["fresh_seconds"] / row["incremental_seconds"]
     return rows
@@ -201,25 +146,14 @@ def test_incremental_vs_fresh_ablation(benchmark):
 
 
 def smoke():
-    """Fast CI check: a real analysis must use the incremental path —
-    assumption queries > 0 and at most one Fig. 7 encoding per S-AEG
-    (i.e. zero re-encodes), so a refactor can't silently regress to
-    fresh-solver-per-call."""
-    from repro.bench.suites import by_name
-    from repro.sched import ClouSession
-
-    session = ClouSession(jobs=1, cache=False)
-    report = session.analyze(AnalysisRequest.analyze(by_name("pht03").source, engine="pht",
-                             name="smoke"))
-    stats = report.stats
-    assert stats.sat_queries > 0, "no assumption queries issued"
-    saegs = len(report.functions)
-    assert stats.sat_encodes <= saegs, (
-        f"{stats.sat_encodes} encodings for {saegs} S-AEGs: "
-        "the path constraints were re-encoded")
-    print(f"bench-smoke: ok — {stats.sat_queries} assumption queries, "
-          f"{stats.sat_memo_hits} memo hits, {stats.sat_encodes} "
-          f"encodings for {saegs} S-AEGs (0 re-encodes)")
+    """Fast CI check on the SAT path that remains, subrosa's
+    XWitnessEncoder: one pass of require/forbid queries and a bounded
+    enumeration must give the same verdicts and model counts on the
+    persistent solver as on a fresh solver per query."""
+    row = _subrosa_workload(repeats=1, limit=SMOKE_MODELS)
+    print(f"bench-smoke: ok — {row['queries']} subrosa queries agree "
+          f"(incremental {row['incremental_seconds']:.2f}s, fresh "
+          f"{row['fresh_seconds']:.2f}s)")
     return 0
 
 

@@ -1,8 +1,8 @@
 """Deterministic fault-injection sweep: degradation must be monotone.
 
 For each corpus source this sweeps seeded fault plans over every
-injection site (``worker.item``, ``engine.candidate``, ``oracle.query``)
-and every action (crash / hang / memory / budget), runs the analysis
+analysis injection site (``worker.item``, ``engine.candidate``) and
+every action (crash / hang / memory / budget), runs the analysis
 under each plan, and checks the three-valued verdict lattice against the
 fault-free baseline:
 
@@ -62,20 +62,20 @@ SMOKE_SWEEPS = [
 #: need the process pool (and its retry/resume machinery) to recover;
 #: serial plans are cooperative.
 PLANS = [
-    ("seed=0;budget@oracle.query%0.5", False),
-    ("seed=1;budget@oracle.query%0.5", False),
-    ("seed=2;budget@oracle.query#1", False),
+    ("seed=0;budget@engine.candidate%0.5", False),
+    ("seed=1;budget@engine.candidate%0.5", False),
+    ("seed=2;budget@engine.candidate#1", False),
     ("crash@engine.candidate#2", True),
     ("hang@engine.candidate#2", True),
     ("memory@engine.candidate#2", True),
     ("crash@worker.item#1", True),     # re-fires every respawn: permanent
     ("crash@worker.item#2", True),     # one crash, then recovery
-    ("memory@oracle.query#2", True),
-    ("crash@oracle.query#3", True),
+    ("memory@worker.item#2", True),
+    ("crash@engine.candidate#3", True),
 ]
 
 SMOKE_PLANS = [
-    ("seed=0;budget@oracle.query%0.5", False),
+    ("seed=0;budget@engine.candidate%0.5", False),
     ("crash@engine.candidate#2", True),
     ("hang@engine.candidate#2", True),
 ]
@@ -83,8 +83,7 @@ SMOKE_PLANS = [
 
 def _analyze(source: str, name: str, engine: str, spec: str | None,
              parallel: bool):
-    config = ClouConfig(fault_spec=spec,
-                        solver_conflict_budget=64 if spec else None)
+    config = ClouConfig(fault_spec=spec)
     if parallel:
         session = ClouSession(config, cache=False, jobs=2, timeout=20,
                               stall_timeout=2.0, retries=2)
@@ -143,7 +142,7 @@ def sweep(sweeps: list[tuple[str, str]], plans) -> int:
             violations = check_lattice(baseline, faulted)
             mode = "jobs=2" if parallel else "serial"
             status = "ok" if not violations else "LATTICE VIOLATION"
-            print(f"  [{mode:<6}] {spec:<34} verdict={faulted.verdict:<7} "
+            print(f"  [{mode:<6}] {spec:<38} verdict={faulted.verdict:<7} "
                   f"{elapsed:5.1f}s  {status}")
             for violation in violations:
                 print(f"    !! {violation}")

@@ -319,14 +319,9 @@ def _add_analyze_flags(analyze: argparse.ArgumentParser) -> None:
                               "choices: %(choices)s")
     analyze.add_argument("--fail-on-incomplete", action="store_true",
                          help=f"exit {EXIT_INCOMPLETE} when any function's "
-                              "coverage was degraded (skipped or undecided "
+                              "coverage was degraded (skipped "
                               "candidates, timeouts, errors) — a SAFE "
                               "verdict then certifies full coverage")
-    analyze.add_argument("--solver-budget", type=int, default=None,
-                         metavar="CONFLICTS",
-                         help="per-query SAT conflict budget; queries that "
-                              "exceed it degrade to UNKNOWN (counted as "
-                              "undecided) instead of running unbounded")
     analyze.add_argument("--faults", default=None, metavar="SPEC",
                          help="arm the deterministic fault injector, e.g. "
                               "'seed=1;crash@worker.item#2' (degradation "
@@ -346,7 +341,6 @@ def _config_from_args(args) -> "ClouConfig":
         enable_range_pruning=not args.no_range_pruning,
         timeout_seconds=args.timeout,
         assume_alias_prediction=args.alias_prediction,
-        solver_conflict_budget=args.solver_budget,
         fault_spec=args.faults,
     )
 
@@ -501,8 +495,7 @@ def _print_analyze_report(args, report, engines) -> None:
     coverage = report.coverage()
     print(f"verdict: {report.verdict} "
           f"(examined={coverage['examined']} pruned={coverage['pruned']} "
-          f"skipped={coverage['skipped_by_budget']} "
-          f"undecided={coverage['undecided']})")
+          f"skipped={coverage['skipped_by_budget']})")
 
 
 def _lint_requests(args) -> list[AnalysisRequest]:

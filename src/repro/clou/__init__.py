@@ -1,7 +1,7 @@
 """Clou: static detection and repair of Spectre leakage, built on LCMs (§5)."""
 
 from repro.clou.acfg import ACFG, build_acfg, inline_calls, unroll_loops
-from repro.clou.aeg import SAEG, AEGNode, Dep, PathOracle
+from repro.clou.aeg import SAEG, AEGNode, Dep
 from repro.clou.alias import AliasAnalysis, AliasResult, Provenance
 from repro.clou.driver import (
     CLOU_DEFAULT_CONFIG,
@@ -49,7 +49,6 @@ __all__ = [
     "GadgetClass",
     "ModuleReport",
     "NodeRef",
-    "PathOracle",
     "PostProcessResult",
     "Provenance",
     "RepairResult",

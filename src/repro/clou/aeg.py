@@ -4,8 +4,9 @@ An S-AEG over-approximates every candidate execution of an A-CFG
 function.  Nodes are the A-CFG's instructions; the symbolic edge classes
 of the paper map onto:
 
-- control flow (po/tfo): the block DAG plus per-block path-condition
-  variables (encoded for the SAT realizability check, Fig. 7);
+- control flow (po/tfo): the block DAG, whose reachability bitsets
+  answer the Fig. 7 realizability check (path-condition variables are
+  still encoded by :meth:`SAEG.path_constraints`);
 - dep (addr/addr_gep/data/ctrl): register dataflow, extended through
   memory with ``(data.rf)*`` chains (§5.3);
 - com (rf): store→load pairs under the alias analysis of §5.2;
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.clou.alias import AliasAnalysis
+from repro.errors import ModelError
 from repro.ir import (
     Alloca,
     Argument,
@@ -43,19 +45,6 @@ from repro.ir import (
     Temp,
     Value,
 )
-
-_fault_point_impl = None
-
-
-def _fault_point(site: str) -> str | None:
-    """repro.sched.faults.fault_point, bound lazily: importing it at
-    module scope would cycle (sched → session → engine → aeg)."""
-    global _fault_point_impl
-    if _fault_point_impl is None:
-        from repro.sched.faults import fault_point
-        _fault_point_impl = fault_point
-    return _fault_point_impl(site)
-
 
 @dataclass(frozen=True)
 class Dep:
@@ -130,7 +119,6 @@ class SAEG:
         self.rf: list[tuple[AEGNode, AEGNode]] = []
         self._build_rf()
         self._extend_through_memory()
-        self._path_oracle: "PathOracle | None" = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -152,6 +140,21 @@ class SAEG:
                 indegree[succ] -= 1
                 if indegree[succ] == 0:
                     worklist.append(succ)
+        if len(order) < len(self.function.blocks):
+            # Every unordered block has an unordered predecessor, so
+            # walking predecessors among them must revisit a block.
+            stuck = [b.label for b in self.function.blocks if indegree[b.label]]
+            predecessor = {succ: label for label in stuck
+                           for succ in successors[label]}
+            seen: set[str] = set()
+            label = stuck[0]
+            while label not in seen:
+                seen.add(label)
+                label = predecessor[label]
+            raise ModelError(
+                f"{self.function.name}: control-flow cycle through block "
+                f"{label!r}; the S-AEG needs the loop-summarized A-CFG "
+                "(build_acfg)")
         self._successors = successors
         return order
 
@@ -570,7 +573,7 @@ class SAEG:
         return len(self.nodes)
 
     # ------------------------------------------------------------------
-    # SAT realizability (Fig. 7)
+    # Realizability (Fig. 7)
     # ------------------------------------------------------------------
 
     def _cap(self, deps: tuple[Dep, ...]) -> tuple[Dep, ...]:
@@ -621,36 +624,29 @@ class SAEG:
                 encoder.assert_expr(~executed)
         return encoder
 
-    @property
-    def path_oracle(self) -> "PathOracle":
-        """The per-S-AEG incremental realizability oracle.  Lazily
-        constructed (encoding Fig. 7 exactly once) and kept for the
-        graph's lifetime, so every realizability query over this
-        function shares one solver and its learned clauses."""
-        if self._path_oracle is None:
-            self._path_oracle = PathOracle(self)
-        return self._path_oracle
-
     def realizable(self, nodes: list[AEGNode]) -> bool:
-        """Can all given nodes execute in ONE architectural path?
-        Answered by the persistent :class:`PathOracle` as an assumption
-        query over the x_<block> literals (Fig. 7)."""
-        return self.path_oracle.realizable(nodes)
+        """Can all given nodes execute in ONE architectural path (Fig. 7)?
 
-    def realizable3(self, nodes: list[AEGNode], *,
-                    deadline: float | None = None,
-                    conflict_budget: int | None = None):
-        """Three-valued :meth:`realizable`: True / False / UNKNOWN, where
-        UNKNOWN means the budgeted solve gave up without deciding."""
-        return self.path_oracle.realizable3(
-            nodes, deadline=deadline, conflict_budget=conflict_budget)
+        Every model of :meth:`path_constraints` is one path rooted at the
+        entry (the entry is forced, an executed block takes exactly one
+        successor, and a non-entry block executes iff an incoming edge is
+        taken), and the A-CFG is a DAG.  So the nodes' blocks, sorted by
+        topological position, must form a reachability chain that starts
+        at the entry: O(k) bitset tests, exact, never undecided."""
+        position = self._block_position
+        current = self._reach_mask[self.function.entry.label]
+        for label in sorted({node.block for node in nodes},
+                            key=position.__getitem__):
+            if not current & self._block_bit[label]:
+                return False
+            current = self._reach_mask[label]
+        return True
 
     def realizable_fresh(self, nodes: list[AEGNode]) -> bool:
-        """Reference implementation of :meth:`realizable`: re-encode the
-        path constraints and build a throwaway solver for this single
-        query.  Kept for differential testing (the incremental-vs-fresh
-        fuzz oracle) and the bench_solver ablation; engines use the
-        oracle path."""
+        """SAT reference for :meth:`realizable`: encode the path
+        constraints and solve them with a throwaway solver.  Kept for
+        differential testing (the incremental-vs-fresh fuzz oracle and
+        the realizability tests); engines use the chain check."""
         from repro.solver import SatSolver, var
 
         encoder = self.path_constraints()
@@ -658,104 +654,6 @@ class SAEG:
             encoder.assert_expr(var(f"x_{node.block}"))
         solver = SatSolver.from_cnf(encoder.cnf)
         return solver.solve() is not None
-
-
-class PathOracle:
-    """Incremental Fig. 7 path-feasibility oracle for one :class:`SAEG`.
-
-    The path constraints are Tseitin-encoded exactly once
-    (``encodes == 1`` for the oracle's lifetime); a single persistent
-    :class:`~repro.solver.SatSolver` then answers every
-    ``realizable(nodes)`` call as a solve under assumptions of the
-    nodes' ``x_<block>`` literals.  Learned clauses and saved phases
-    carry over between queries, and verdicts are memoized keyed by the
-    frozen block-set — many candidate (access, transmit) patterns share
-    the same block footprint, so the memo absorbs most of the stream.
-
-    Memoization is sound because the query is a pure function of the
-    block-set: the root formula never changes (assumption literals are
-    retracted by the solver after each call, never asserted), and
-    node order within a query is irrelevant to conjunction.
-
-    Budgeted queries go through :meth:`realizable3`, which can return
-    :data:`~repro.solver.UNKNOWN` when a conflict budget or deadline
-    runs out mid-solve.  UNKNOWN verdicts are never memoized (a later,
-    better-funded query may still decide the same key) and are counted
-    in ``unknowns``.
-    """
-
-    __slots__ = ("_solver", "_lit", "_memo", "_footprints", "encodes",
-                 "hits", "misses", "unknowns")
-
-    MAX_FOOTPRINTS = 64
-
-    def __init__(self, saeg: SAEG):
-        from repro.solver import SatSolver
-
-        cnf = saeg.path_constraints().cnf
-        self._solver = SatSolver.from_cnf(cnf)
-        self._lit = {block.label: cnf.index_of[f"x_{block.label}"]
-                     for block in saeg.function.blocks}
-        self._memo: dict[frozenset[str], bool] = {}
-        # Satisfying-path footprints: each is the executed-block set of a
-        # model the solver produced.  key ⊆ footprint proves SAT without
-        # a solver call (that model already executes every queried
-        # block); a handful of full paths subsumes most of the engines'
-        # pair/triple query stream.
-        self._footprints: list[frozenset[str]] = []
-        self.encodes = 1
-        self.hits = 0
-        self.misses = 0
-        self.unknowns = 0
-
-    def realizable(self, nodes: list[AEGNode]) -> bool:
-        """Two-valued wrapper over :meth:`realizable3` that treats
-        UNKNOWN as conservatively realizable: an undecided pattern is
-        never dropped, it can only survive as an unconfirmed witness."""
-        return self.realizable3(nodes) is not False
-
-    def realizable3(self, nodes: list[AEGNode], *,
-                    deadline: float | None = None,
-                    conflict_budget: int | None = None):
-        from repro.solver import UNKNOWN
-
-        key = frozenset(node.block for node in nodes)
-        cached = self._memo.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        for footprint in self._footprints:
-            if key <= footprint:
-                self.hits += 1
-                self._memo[key] = True
-                return True
-        self.misses += 1
-        if _fault_point("oracle.query") == "budget":
-            self.unknowns += 1
-            return UNKNOWN
-        model = self._solver.solve(
-            [self._lit[label] for label in sorted(key)],
-            conflict_budget=conflict_budget, deadline=deadline)
-        if model is UNKNOWN:
-            # Not memoized: a later query with more budget may decide it.
-            self.unknowns += 1
-            return UNKNOWN
-        verdict = model is not None
-        if verdict and len(self._footprints) < self.MAX_FOOTPRINTS:
-            footprint = frozenset(label for label, literal in self._lit.items()
-                                  if model[literal])
-            if footprint not in self._footprints:
-                self._footprints.append(footprint)
-        self._memo[key] = verdict
-        return verdict
-
-    @property
-    def statistics(self) -> dict[str, int]:
-        """Oracle + underlying solver counters (see SessionStats)."""
-        stats = dict(self._solver.statistics)
-        stats.update(encodes=self.encodes, memo_hits=self.hits,
-                     memo_misses=self.misses, unknowns=self.unknowns)
-        return stats
 
 
 class WindowView:

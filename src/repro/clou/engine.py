@@ -71,14 +71,13 @@ class ClouConfig:
     the intervals never trust branch conditions, so a mispredicted
     bounds check proves nothing (the Spectre v1 gadget stays flagged)."""
     solver_conflict_budget: int | None = None
-    """Per-query conflict cap for σ-compatibility SAT queries.  A query
-    that exhausts it returns UNKNOWN; the pattern is kept conservatively
-    as an unconfirmed witness and the report counts it ``undecided``.
-    None (the default) leaves queries unbounded (the wall-clock deadline
-    from ``timeout_seconds`` still applies to each query)."""
+    """Ignored.  σ-compatibility is an exact bitset check
+    (:meth:`SAEG.realizable`) with no solver to budget; the field stays
+    because the stable ``--json`` embeds the full config, so removing it
+    changes every report's bytes."""
     fault_spec: str | None = None
     """A :mod:`repro.sched.faults` injection spec armed for this
-    analysis (e.g. ``"seed=1;budget@oracle.query%0.5"``).  Testing knob:
+    analysis (e.g. ``"seed=1;budget@engine.candidate%0.5"``).  Testing knob:
     off by default, travels with the config into worker processes so
     degradation tests are deterministic regardless of scheduling."""
 
@@ -128,6 +127,18 @@ class _Budget:
         return self.expired
 
 
+def _candidate_fault(pos: int, budget: _Budget) -> None:
+    """Positional injection point after candidate ``pos`` is
+    checkpointed, so a resumed attempt starts past the fault.  A
+    cooperative ``budget`` fault expires the run's budget exactly as an
+    elapsed ``timeout_seconds`` does: the remaining candidates are
+    skipped and the report is incomplete."""
+    from repro.sched.faults import fault_point
+
+    if fault_point("engine.candidate", hit=pos + 1) == "budget":
+        budget.expired = True
+
+
 class _SearchState:
     """Checkpoint bookkeeping for one engine run.
 
@@ -163,7 +174,6 @@ class _SearchState:
             witness_from_dict(w) for w in resume.get("witnesses", []))
         report.candidates = resume.get("candidates", 0)
         report.pruned = resume.get("pruned", 0)
-        report.undecided = resume.get("undecided", 0)
         report.skipped = resume.get("skipped", 0)
 
     def snapshot(self, report: FunctionReport) -> None:
@@ -180,7 +190,6 @@ class _SearchState:
             "total": self.total,
             "candidates": report.candidates,
             "pruned": report.pruned,
-            "undecided": report.undecided,
             "skipped": report.skipped,
             "witnesses": list(self._witness_dicts),
         })
@@ -284,27 +293,15 @@ class DetectionEngine:
         )
         state = _SearchState(resume, checkpoint)
         state.seed(report, resume)
-        # The S-AEG (and hence its PathOracle) may be shared with other
-        # engine runs, so attribute only this run's counter deltas.
-        oracle = self.aeg._path_oracle
-        before = oracle.statistics if oracle is not None else {}
         try:
             self._search(report, budget, state)
         finally:
             report.elapsed = time.monotonic() - started
             report.timed_out = budget.expired
-            oracle = self.aeg._path_oracle
-            if oracle is not None:
-                report.sat_stats = {
-                    key: value - before.get(key, 0)
-                    for key, value in oracle.statistics.items()
-                }
         return report
 
     def _search(self, report: FunctionReport, budget: _Budget,
                 state: _SearchState) -> None:
-        from repro.sched.faults import fault_point
-
         want = set(self.config.classes)
         bound = max(self.config.rob_size, self.config.window_size)
         nodes = self.aeg.memory_nodes()
@@ -321,7 +318,7 @@ class DetectionEngine:
             has_control_work = "ct" in want or "uct" in want
             if not address_deps and not has_control_work:
                 state.cursor = pos + 1
-                fault_point("engine.candidate", hit=pos + 1)
+                _candidate_fault(pos, budget)
                 continue
             if self.prunes_ranges() and "dt" not in want:
                 # Without DT work an address dep matters only as the head
@@ -337,7 +334,7 @@ class DetectionEngine:
                 address_deps = kept
                 if not address_deps and not has_control_work:
                     state.cursor = pos + 1
-                    fault_point("engine.candidate", hit=pos + 1)
+                    _candidate_fault(pos, budget)
                     continue
             report.candidates += 1
             view = self.aeg.window(transmit, bound)
@@ -350,9 +347,7 @@ class DetectionEngine:
                 continue
             state.cursor = pos + 1
             state.snapshot(report)
-            # Positional injection point: fires after this candidate is
-            # checkpointed, so a resumed attempt starts past the fault.
-            fault_point("engine.candidate", hit=pos + 1)
+            _candidate_fault(pos, budget)
 
     def _search_transmit(self, transmit: AEGNode, view: WindowView,
                          address_deps: tuple[Dep, ...], want: set[str],
@@ -371,39 +366,21 @@ class DetectionEngine:
             if not view.contains(access):
                 continue  # outside the sliding window
             self._classify_chain(transmit, access, dep, primitives,
-                                 view, want, report, budget)
+                                 view, want, report)
         if "ct" in want or "uct" in want:
             self._search_control(transmit, view, primitives, want,
                                  report, budget)
 
-    def _sigma_compatible(self, nodes: list[AEGNode],
-                          report: FunctionReport, budget: _Budget):
-        """Three-valued Fig. 7 σ-compatibility with this run's budgets
-        threaded into the solver.  UNKNOWN (budget/deadline exhausted)
-        is counted in ``report.undecided``; callers keep the pattern
-        conservatively but mark its witnesses unconfirmed."""
-        verdict = self.aeg.realizable3(
-            nodes,
-            deadline=budget.deadline,
-            conflict_budget=self.config.solver_conflict_budget,
-        )
-        if verdict is True or verdict is False:
-            return verdict
-        report.undecided += 1
-        return verdict  # UNKNOWN
-
     def _classify_chain(self, transmit: AEGNode, access: AEGNode, dep: Dep,
                         primitives: list[tuple[AEGNode, AEGNode | None]],
                         view: WindowView, want: set[str],
-                        report: FunctionReport, budget: _Budget) -> None:
+                        report: FunctionReport) -> None:
         # Fig. 7 σ-compatibility: the chain endpoints must co-execute on
-        # one architectural path (an assumption query on the PathOracle;
-        # the window BFS already walks real CFG edges, so this can only
-        # reject patterns the pairwise checks over-approximated).
-        pair = self._sigma_compatible([access, transmit], report, budget)
-        if pair is False:
+        # one architectural path (the window BFS already walks real CFG
+        # edges, so this can only reject patterns the pairwise checks
+        # over-approximated).
+        if not self.aeg.realizable([access, transmit]):
             return
-        pair_confirmed = pair is True
         for primitive, window_start in primitives:
             access_transient = self._is_transient(access, primitive,
                                                   window_start, view)
@@ -431,9 +408,7 @@ class DetectionEngine:
                     if not view.contains(index):
                         continue
                     # Joint σ-compatibility of the full universal chain.
-                    triple = self._sigma_compatible(
-                        [index, access, transmit], report, budget)
-                    if triple is False:
+                    if not self.aeg.realizable([index, access, transmit]):
                         continue
                     if not self._index_attacker_controlled(index):
                         continue
@@ -453,7 +428,6 @@ class DetectionEngine:
                         transient_transmit=transmit_transient,
                         transient_access=access_transient,
                         store_hops=dep.store_hops + index_dep.store_hops,
-                        confirmed=pair_confirmed and triple is True,
                     ))
                     reported_universal = True
                     break
@@ -468,7 +442,6 @@ class DetectionEngine:
                     transient_transmit=transmit_transient,
                     transient_access=access_transient,
                     store_hops=dep.store_hops,
-                    confirmed=pair_confirmed,
                 ))
             return  # one primitive witness per chain suffices
 
@@ -485,11 +458,8 @@ class DetectionEngine:
             if not cond_deps:
                 continue
             # σ-compatibility of branch and transmitter (Fig. 7).
-            branch_ok = self._sigma_compatible([branch, transmit],
-                                               report, budget)
-            if branch_ok is False:
+            if not self.aeg.realizable([branch, transmit]):
                 continue
-            branch_confirmed = branch_ok is True
             for primitive, window_start in primitives:
                 transmit_transient = self._is_transient(
                     transmit, primitive, window_start, view)
@@ -531,7 +501,6 @@ class DetectionEngine:
                                 transient_transmit=transmit_transient,
                                 transient_access=access_transient,
                                 store_hops=dep.store_hops + index_dep.store_hops,
-                                confirmed=branch_confirmed,
                             ))
                             reported = True
                             break
@@ -548,7 +517,6 @@ class DetectionEngine:
                             transient_transmit=transmit_transient,
                             transient_access=access_transient,
                             store_hops=dep.store_hops,
-                            confirmed=branch_confirmed,
                         ))
                         break
                 break
@@ -894,7 +862,7 @@ class ClouFWD(DetectionEngine):
             if not view.contains(access):
                 continue  # outside the sliding window
             self._classify_forward(transmit, access, dep, view, want,
-                                   report, budget)
+                                   report)
         if "ct" in want or "uct" in want:
             self._search_forward_control(transmit, view, want,
                                          report, budget)
@@ -934,18 +902,15 @@ class ClouFWD(DetectionEngine):
 
     def _classify_forward(self, transmit: AEGNode, access: AEGNode,
                           dep: Dep, view: WindowView, want: set[str],
-                          report: FunctionReport, budget: _Budget) -> None:
-        pair = self._sigma_compatible([access, transmit], report, budget)
-        if pair is False:
+                          report: FunctionReport) -> None:
+        if not self.aeg.realizable([access, transmit]):
             return
         for store, guards, oob in self._forward_pairs(access):
             primitive = self._transient_pair(store, guards, access,
                                              transmit, view)
             if primitive is None:
                 continue
-            triple = self._sigma_compatible([store, access, transmit],
-                                            report, budget)
-            if triple is False:
+            if not self.aeg.realizable([store, access, transmit]):
                 continue
             if oob and "udt" in want:
                 klass = TransmitterClass.UNIVERSAL_DATA
@@ -963,7 +928,6 @@ class ClouFWD(DetectionEngine):
                 transient_transmit=True,
                 transient_access=True,
                 store_hops=dep.store_hops,
-                confirmed=pair is True and triple is True,
             ))
             return  # one corrupting store per chain suffices
 
@@ -979,9 +943,7 @@ class ClouFWD(DetectionEngine):
             cond_deps = self.aeg.branch_cond_deps(branch)
             if not cond_deps:
                 continue
-            branch_ok = self._sigma_compatible([branch, transmit],
-                                               report, budget)
-            if branch_ok is False:
+            if not self.aeg.realizable([branch, transmit]):
                 continue
             reported = False
             for dep in cond_deps:
@@ -995,9 +957,7 @@ class ClouFWD(DetectionEngine):
                                                      transmit, view)
                     if primitive is None:
                         continue
-                    triple = self._sigma_compatible([store, access, branch],
-                                                    report, budget)
-                    if triple is False:
+                    if not self.aeg.realizable([store, access, branch]):
                         continue
                     if oob and "uct" in want:
                         klass = TransmitterClass.UNIVERSAL_CONTROL
@@ -1015,7 +975,6 @@ class ClouFWD(DetectionEngine):
                         transient_transmit=True,
                         transient_access=True,
                         store_hops=dep.store_hops,
-                        confirmed=branch_ok is True and triple is True,
                     ))
                     reported = True
                     break

@@ -58,16 +58,15 @@ class ClouWitness:
     addr_gep/addr pattern, the high-confidence class of §6.2.2's
     worst-case-alias counts (the parenthesized numbers in Table 2)."""
     confirmed: bool = True
-    """False when some σ-compatibility query in this chain came back
-    UNKNOWN (solver budget or deadline exhausted) and the pattern was
-    kept conservatively.  Unconfirmed witnesses never count toward a
-    ``leak`` verdict on their own — they degrade the function to
-    ``unknown`` instead."""
+    """Always True from the engines, whose σ-compatibility check is
+    exact; kept in the stable schema.  An unconfirmed witness (from an
+    older serialized report) never counts toward a ``leak`` verdict on
+    its own — it degrades the function to ``unknown`` instead."""
 
     def describe(self) -> str:
         parts = [f"{self.klass.value} via {self.engine.upper()}"]
         if not self.confirmed:
-            parts[0] += " (unconfirmed: solver budget exhausted)"
+            parts[0] += " (unconfirmed)"
         parts.append(f"  primitive: {self.primitive}")
         if self.index is not None:
             parts.append(f"  index:     {self.index}")
@@ -100,16 +99,9 @@ class FunctionReport:
     budget expired or the witness cap was hit first.  Non-zero skipped
     means a SAFE-looking report only covers part of the function."""
     undecided: int = 0
-    """σ-compatibility queries that returned UNKNOWN (solver conflict
-    budget or deadline exhausted).  The affected patterns are kept
-    conservatively as unconfirmed witnesses, never dropped."""
-    sat_stats: dict = field(default_factory=dict, compare=False)
-    """PathOracle/SatSolver counter deltas attributable to this engine
-    run (queries, memo hits/misses, encodes, learned/deleted clauses,
-    propagations).  Observability only: aggregated into
-    :class:`repro.sched.SessionStats`, never serialized into the
-    byte-stable ``--json`` output, and legitimately empty for reports
-    that did no solver work (e.g. cache hits)."""
+    """Undecided σ-compatibility queries.  Always 0: the check is exact
+    (:meth:`repro.clou.aeg.SAEG.realizable`); kept in the stable
+    ``coverage`` schema."""
 
     def transmitters(self) -> list[ClouWitness]:
         """One witness per distinct (transmit node, class), ordered by

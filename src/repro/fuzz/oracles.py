@@ -18,10 +18,10 @@ serialize-roundtrip C        stable report JSON -> from_dict -> JSON is
                              byte-identical
 jobs-invariance     C        --jobs 2 and serial sessions emit identical
                              stable JSON
-incremental-vs-     any      the persistent assumption-based solver
-fresh                        (PathOracle / XWitnessEncoder) agrees with a
-                             fresh-solver-per-query reference on verdicts
-                             and projected witness sets
+incremental-vs-     any      the S-AEG's bitset realizability check and
+fresh                        XWitnessEncoder's persistent solver agree with
+                             a fresh-solver-per-query SAT reference on
+                             verdicts and projected witness sets
 degradation         C        a budget-faulted run only degrades verdicts
                              toward unknown (never flips leak<->safe) and
                              confirms no witness the fault-free run lacks
@@ -259,7 +259,7 @@ def _jobs_invariance(generated: GeneratedC) -> str | None:
 
 
 def _degradation(generated: GeneratedC) -> str | None:
-    """Three-valued soundness under injected solver-budget faults.
+    """Three-valued soundness under injected search-budget faults.
 
     The fault-free verdict lattice is leak ⊐ unknown ⊐ safe; a degraded
     run may move any function's verdict *toward* unknown but must never
@@ -282,10 +282,8 @@ def _degradation(generated: GeneratedC) -> str | None:
     try:
         baseline = analyze(ClouConfig(timeout_seconds=10.0))
         spec = (f"seed={generated.seed & 0xFFFF};"
-                "budget@oracle.query%0.4")
-        faulted = analyze(ClouConfig(timeout_seconds=10.0,
-                                     solver_conflict_budget=64,
-                                     fault_spec=spec))
+                "budget@engine.candidate%0.4")
+        faulted = analyze(ClouConfig(timeout_seconds=10.0, fault_spec=spec))
     except ReproError as error:
         return f"generated program does not analyze: {error}"
 
@@ -404,20 +402,14 @@ def _ivf_c(generated: GeneratedC) -> str | None:
         queries += [[a, b]
                     for i, a in enumerate(interesting)
                     for b in interesting[i + 1:]]
-        queries = queries[:40]
-        # Two passes: the second is answered from the memo and must not
-        # change any verdict.
-        for nodes in queries + queries:
-            incremental = aeg.realizable(nodes)
+        for nodes in queries[:40]:
+            chain = aeg.realizable(nodes)
             fresh = aeg.realizable_fresh(nodes)
-            if incremental != fresh:
+            if chain != fresh:
                 blocks = sorted({n.block for n in nodes})
                 return (f"{function.name}: realizable({blocks}) = "
-                        f"{incremental} incrementally but {fresh} on a "
+                        f"{chain} by the chain check but {fresh} on a "
                         "fresh solver")
-        if queries and aeg.path_oracle.encodes != 1:
-            return (f"{function.name}: PathOracle encoded the path "
-                    f"constraints {aeg.path_oracle.encodes} times")
     return None
 
 

@@ -22,8 +22,9 @@ Actions
     (the real analogue is a worker hitting its ``RLIMIT_AS`` ceiling).
 ``budget``
     Cooperative: the *call site* asks :func:`fault_point` and, on
-    ``"budget"``, degrades itself (the PathOracle returns UNKNOWN as if
-    the solver's conflict budget ran out).  Raising sites ignore it.
+    ``"budget"``, degrades itself (at ``engine.candidate`` the engine's
+    search budget expires, exactly as an elapsed timeout does).  Raising
+    sites ignore it.
 ``drop`` / ``stall`` / ``garble``
     Serve-layer actions (cooperative, like ``budget``): the daemon's
     transport sites (``serve.*``) interpret them as discarding a
@@ -38,7 +39,7 @@ Spec grammar
 ------------
 A plan is a semicolon-separated list::
 
-    seed=42;budget@oracle.query%0.5;hang@engine.candidate#3
+    seed=42;budget@engine.candidate%0.5;hang@worker.item#3
 
 - ``seed=N`` seeds the probabilistic rules (default 0);
 - ``ACTION@SITE#N`` fires once, on the Nth arrival at SITE (1-based,
@@ -85,9 +86,8 @@ SITES = {
                         "processed and checkpointed (repro.clou.engine); "
                         "N is the candidate's cursor position, stable "
                         "across resume, so a resumed attempt gets past a "
-                        "crash/hang here instead of re-firing it",
-    "oracle.query": "one PathOracle realizability query that missed the "
-                    "memo (repro.clou.aeg); 'budget' forces UNKNOWN",
+                        "crash/hang here instead of re-firing it; "
+                        "'budget' expires the search budget",
     "serve.accept": "one accepted daemon connection, before its reader "
                     "thread starts (repro.serve.server); drop/crash "
                     "close it unserved, stall delays it",

@@ -276,8 +276,7 @@ class ClouSession:
         On-disk result cache.  ``cache_dir=None`` falls back to
         ``$REPRO_CACHE_DIR``; caching is off when neither is set or when
         ``cache=False``.  Only clean, *complete* results are stored:
-        errored, timed-out, skipped, or undecided reports never enter
-        the cache.
+        errored, timed-out or skipped reports never enter the cache.
     memory_limit_mb:
         Per-worker address-space ceiling (``RLIMIT_AS``); a worker
         exceeding it dies with a recoverable MemoryError and the item
@@ -314,7 +313,7 @@ class ClouSession:
 
         ``deadline`` is a wall-clock Unix timestamp (``time.time()``
         domain — the daemon threads the client's envelope deadline
-        here).  Work items clamp their cooperative solver budget to the
+        here).  Work items clamp their cooperative search budget to the
         remaining time, so an over-deadline batch degrades (verdicts
         move toward *unknown*, reported incomplete, never cached)
         instead of overrunning.  The deadline never reaches cache keys
@@ -522,7 +521,7 @@ class ClouSession:
         timeout = self.timeout
         if deadline is not None:
             # The deadline rides in the payload (the worker clamps its
-            # cooperative solver budget) — injected *after* cache keys
+            # cooperative search budget) — injected *after* cache keys
             # were computed in _expand, so it can never move an item's
             # cache address.  The parallel-mode hard kill is clamped to
             # the remaining wall budget as a backstop.
@@ -636,9 +635,6 @@ class ClouSession:
             result.stats.candidates = report.candidates
             result.stats.pruned = report.pruned
             result.stats.skipped = report.skipped
-            result.stats.undecided = report.undecided
-            for function_report in report.functions:
-                result.stats.absorb_sat(function_report.sat_stats)
             report.stats = result.stats
             result.report = report
         elif request.kind == "repair":

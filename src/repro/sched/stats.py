@@ -51,33 +51,12 @@ class SessionStats:
     errors: int = 0
     resumed: int = 0           # checkpoint-resumed attempts
     memory_killed: int = 0     # items killed by the memory ceiling
-    budget_exhausted: int = 0  # solver queries that returned UNKNOWN
     candidates: int = 0
     pruned: int = 0
     skipped: int = 0           # candidates never examined (budget/cap)
-    undecided: int = 0         # σ-queries degraded to UNKNOWN
-    sat_queries: int = 0       # PathOracle assumption queries (memo misses)
-    sat_memo_hits: int = 0     # realizability verdicts served from the memo
-    sat_encodes: int = 0       # Fig. 7 encodings built (one per S-AEG)
-    sat_learned: int = 0       # clauses learned across all solvers
-    sat_deleted: int = 0       # learned clauses dropped by DB reduction
-    sat_propagations: int = 0
     work_seconds: float = 0.0  # sum of per-item worker time
     wall_seconds: float = 0.0  # parent-side elapsed for the batch
     per_item: list[ItemStats] = field(default_factory=list)
-
-    def absorb_sat(self, sat_stats: dict) -> None:
-        """Fold one FunctionReport's solver counter deltas in (empty for
-        cache hits and engine runs that issued no realizability query)."""
-        if not sat_stats:
-            return
-        self.sat_queries += sat_stats.get("queries", 0)
-        self.sat_memo_hits += sat_stats.get("memo_hits", 0)
-        self.sat_encodes += sat_stats.get("encodes", 0)
-        self.sat_learned += sat_stats.get("learned", 0)
-        self.sat_deleted += sat_stats.get("deleted", 0)
-        self.sat_propagations += sat_stats.get("propagations", 0)
-        self.budget_exhausted += sat_stats.get("unknowns", 0)
 
     def record(self, item: ItemStats) -> None:
         self.items += 1
@@ -108,17 +87,9 @@ class SessionStats:
         self.errors += other.errors
         self.resumed += other.resumed
         self.memory_killed += other.memory_killed
-        self.budget_exhausted += other.budget_exhausted
         self.candidates += other.candidates
         self.pruned += other.pruned
         self.skipped += other.skipped
-        self.undecided += other.undecided
-        self.sat_queries += other.sat_queries
-        self.sat_memo_hits += other.sat_memo_hits
-        self.sat_encodes += other.sat_encodes
-        self.sat_learned += other.sat_learned
-        self.sat_deleted += other.sat_deleted
-        self.sat_propagations += other.sat_propagations
         self.work_seconds += other.work_seconds
         self.wall_seconds += other.wall_seconds
         self.per_item.extend(other.per_item)
@@ -146,17 +117,9 @@ class SessionStats:
             "errors": self.errors,
             "resumed": self.resumed,
             "memory_killed": self.memory_killed,
-            "budget_exhausted": self.budget_exhausted,
             "candidates": self.candidates,
             "pruned": self.pruned,
             "skipped": self.skipped,
-            "undecided": self.undecided,
-            "sat_queries": self.sat_queries,
-            "sat_memo_hits": self.sat_memo_hits,
-            "sat_encodes": self.sat_encodes,
-            "sat_learned": self.sat_learned,
-            "sat_deleted": self.sat_deleted,
-            "sat_propagations": self.sat_propagations,
             "work_seconds": round(self.work_seconds, 4),
             "wall_seconds": round(self.wall_seconds, 4),
         }
@@ -177,10 +140,7 @@ class SessionStats:
         for key in ("jobs", "items", "cache_hits", "cache_misses",
                     "cache_corrupt",
                     "retries", "timeouts", "crashes", "errors", "resumed",
-                    "memory_killed", "budget_exhausted", "candidates",
-                    "pruned", "skipped", "undecided", "sat_queries",
-                    "sat_memo_hits", "sat_encodes", "sat_learned",
-                    "sat_deleted", "sat_propagations"):
+                    "memory_killed", "candidates", "pruned", "skipped"):
             if key in data:
                 setattr(stats, key, int(data[key]))
         for key in ("work_seconds", "wall_seconds"):
@@ -203,12 +163,8 @@ class SessionStats:
             f"stats: {self.items} items, jobs={self.jobs} | {cache} | "
             f"retries={self.retries} timeouts={self.timeouts} "
             f"crashes={self.crashes} errors={self.errors} | "
-            f"resumed={self.resumed} memory_killed={self.memory_killed} "
-            f"budget_exhausted={self.budget_exhausted} | "
+            f"resumed={self.resumed} memory_killed={self.memory_killed} | "
             f"candidates={self.candidates} pruned={self.pruned} "
-            f"skipped={self.skipped} undecided={self.undecided} | "
-            f"sat {self.sat_queries} queries / {self.sat_memo_hits} memo "
-            f"hits, {self.sat_encodes} encodes, "
-            f"{self.sat_learned} learned (-{self.sat_deleted}) | "
+            f"skipped={self.skipped} | "
             f"work {self.work_seconds:.2f}s, wall {self.wall_seconds:.2f}s"
         )

@@ -168,7 +168,6 @@ def report_from_checkpoint(payload: dict, partial: dict,
         error=error,
         candidates=partial.get("candidates", 0),
         pruned=partial.get("pruned", 0),
-        undecided=partial.get("undecided", 0),
         skipped=partial.get("skipped", 0) + max(0, total - cursor),
     )
     return report

@@ -20,9 +20,7 @@ from repro.solver.expr import (
     var,
 )
 from repro.solver.sat import (
-    UNKNOWN,
     SatSolver,
-    Unknown,
     enumerate_models,
     solve_cnf,
 )
@@ -37,8 +35,6 @@ __all__ = [
     "Or",
     "SatSolver",
     "TRUE",
-    "UNKNOWN",
-    "Unknown",
     "TseitinEncoder",
     "Var",
     "at_most_one",

@@ -17,11 +17,7 @@ This stands in for Z3 in the reproduction (see DESIGN.md).  Features:
 - LBD-based learned-clause DB reduction between queries
   (:meth:`_reduce_db`), so the clause DB stays bounded over a long
   query stream without ever dropping reason clauses or root units,
-- model enumeration via blocking clauses (:func:`enumerate_models`),
-- three-valued budgeted solving: ``solve(conflict_budget=...,
-  deadline=...)`` gives up with the :data:`UNKNOWN` sentinel instead of
-  running unbounded, leaving the solver state intact (learned clauses
-  from the aborted search are implied by the formula and persist).
+- model enumeration via blocking clauses (:func:`enumerate_models`).
 
 The implementation favours clarity over raw speed; it comfortably
 handles the tens of thousands of clauses the subrosa encodings produce.
@@ -29,7 +25,6 @@ handles the tens of thousands of clauses the subrosa encodings produce.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Iterable, Iterator
 
 from repro.errors import SolverError
@@ -38,40 +33,6 @@ from repro.solver.cnf import CNF
 UNASSIGNED = 0
 TRUE = 1
 FALSE = -1
-
-
-class Unknown:
-    """The third verdict: the solver gave up (conflict budget or
-    deadline exhausted) without deciding SAT or UNSAT.
-
-    Deliberately neither truthy nor falsy: ``bool(UNKNOWN)`` raises so
-    legacy two-valued call sites (``if model: ...``) fail loudly instead
-    of silently treating an undecided query as SAT or UNSAT.  Compare
-    with ``is UNKNOWN``.
-    """
-
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "UNKNOWN"
-
-    def __bool__(self) -> bool:
-        raise TypeError(
-            "UNKNOWN has no truth value: check `result is UNKNOWN` before "
-            "treating a budgeted solve() result as SAT or UNSAT")
-
-
-UNKNOWN = Unknown()
-
-# How many main-loop steps pass between deadline checks; keeps the
-# time.monotonic() overhead invisible while bounding overshoot.
-_DEADLINE_CHECK_PERIOD = 64
 
 
 def _luby(i: int) -> int:
@@ -126,8 +87,7 @@ class SatSolver:
         self.assumption_failed = False
         self.statistics = {"decisions": 0, "conflicts": 0, "propagations": 0,
                            "restarts": 0, "learned": 0, "deleted": 0,
-                           "simplified": 0, "queries": 0,
-                           "budget_exhausted": 0}
+                           "simplified": 0, "queries": 0}
 
     # ------------------------------------------------------------------
     # Construction
@@ -473,25 +433,13 @@ class SatSolver:
     # Main loop
     # ------------------------------------------------------------------
 
-    def solve(self, assumptions: Iterable[int] = (), *,
-              conflict_budget: int | None = None,
-              deadline: float | None = None
-              ) -> dict[int, bool] | None | Unknown:
-        """Return a model as {variable: bool}, None if UNSAT, or
-        :data:`UNKNOWN` when a budget ran out before an answer.
+    def solve(self, assumptions: Iterable[int] = ()
+              ) -> dict[int, bool] | None:
+        """Return a model as {variable: bool}, or None if UNSAT.
 
         Incremental: between calls the root-level trail, learned
         clauses, and saved phases are kept, so a query stream over one
         formula only re-propagates when clauses were actually added.
-
-        ``conflict_budget`` caps the conflicts *this call* may spend;
-        ``deadline`` is a ``time.monotonic()`` instant past which the
-        call gives up.  On either exhaustion the call backtracks to the
-        root and returns :data:`UNKNOWN` — clauses learned during the
-        aborted search are implied by the formula, so they (and the
-        saved phases) legitimately persist, and a later unbudgeted call
-        still returns the exact answer.  Without budgets the behaviour
-        is the classic two-valued contract.
         """
         self.statistics["queries"] += 1
         self.assumption_failed = False
@@ -533,31 +481,18 @@ class SatSolver:
         restart_count = 0
         conflicts_until_restart = 32 * _luby(restart_count + 1)
         conflicts_since_restart = 0
-        conflicts_this_call = 0
-        steps = 0
-        if deadline is not None and time.monotonic() > deadline:
-            return self._give_up()
 
         while True:
-            if deadline is not None:
-                steps += 1
-                if steps % _DEADLINE_CHECK_PERIOD == 0 \
-                        and time.monotonic() > deadline:
-                    return self._give_up()
             conflict = self._propagate()
             if conflict is not None:
                 self.statistics["conflicts"] += 1
                 conflicts_since_restart += 1
-                conflicts_this_call += 1
                 if not self._trail_lim:
                     self._ok = False
                     return None
                 if len(self._trail_lim) <= len(assumption_list):
                     self.assumption_failed = bool(assumption_list)
                     return None  # conflict depends only on assumptions
-                if conflict_budget is not None \
-                        and conflicts_this_call > conflict_budget:
-                    return self._give_up()
                 learned, level = self._analyze(conflict)
                 self.statistics["learned"] += 1
                 if len(learned) == 1:
@@ -614,14 +549,6 @@ class SatSolver:
             self.statistics["decisions"] += 1
             self._trail_lim.append(len(self._trail))
             self._enqueue(decision, None)
-
-    def _give_up(self) -> Unknown:
-        """Abort the current query: undo every decision (root trail and
-        learned clauses stay — both are implied by the formula) and
-        report the three-valued don't-know."""
-        self.statistics["budget_exhausted"] += 1
-        self._backtrack(0)
-        return UNKNOWN
 
 
 def solve_cnf(cnf: CNF, assumptions: Iterable[int] = ()) -> dict[str, bool] | None:

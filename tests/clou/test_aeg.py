@@ -3,6 +3,7 @@
 import pytest
 
 from repro.clou import SAEG, build_acfg
+from repro.errors import ModelError
 from repro.ir import Load, Store
 from repro.minic import compile_c
 
@@ -212,10 +213,27 @@ void f(int c) {
         assert not aeg.realizable([then_node, else_node])
 
     def test_realizability_agrees_with_coexecutability(self, v1):
-        """The SAT path encoding and the graph criterion must agree for
-        pairs (Fig. 7's formulas vs. the engines' fast path)."""
+        """The entry-rooted chain check and the pairwise graph criterion
+        must agree for pairs."""
         import itertools
 
         sample = v1.memory_nodes()[:6]
         for a, b in itertools.combinations(sample, 2):
             assert v1.realizable([a, b]) == v1.co_executable(a, b)
+
+
+class TestAcyclicity:
+    def test_cyclic_cfg_fails_loudly(self):
+        """Realizability is exact only on a DAG, so an S-AEG built from
+        a function whose loop was not summarized must refuse it and
+        name a block on the cycle (not crash with a bare KeyError)."""
+        module = compile_c("""
+uint64_t t;
+void f(uint64_t y) {
+    uint64_t i = 0;
+    while (i < y) { t += i; i = i + 1; }
+}
+""")
+        with pytest.raises(ModelError, match="cycle through block "
+                                             "'while.(cond|body)"):
+            SAEG(module.functions["f"])

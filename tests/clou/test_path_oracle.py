@@ -1,95 +1,77 @@
-"""The incremental Fig. 7 path-feasibility oracle: one encoding per
-S-AEG, assumption queries, memoization, and the engine-level statistics
-that prove the incremental path is in use."""
+"""Fig. 7 path realizability: the S-AEG's entry-rooted bitset chain
+check (``SAEG.realizable``) against the SAT reference that encodes the
+path constraints and solves them on a fresh solver per query
+(``SAEG.realizable_fresh``).
+
+Every corpus the analysis runs on is covered — the litmus suites, the
+crypto files, the Fig. 8 synthetics up to 60 rounds, the OpenSSL-shaped
+unit and generated C programs — with seeded random block sets of size
+1-4 plus the engines' own pair and triple query shapes.
+"""
+
+import random
 
 import pytest
 
-from repro.bench.suites import by_name
-from repro.clou import SAEG, PathOracle, build_acfg
+from repro.bench.suites import all_litmus, by_name, crypto_cases
+from repro.bench.synthetic import openssl_like_source, scaling_corpus
+from repro.clou import SAEG, build_acfg
 from repro.clou.serialize import to_json
+from repro.fuzz.gen_c import generate_c
 from repro.minic import compile_c
 from repro.sched import AnalysisRequest
 
-BRANCHY = """
-uint8_t A[16];
-uint8_t B[4096];
-uint64_t size_A = 16;
-uint64_t tmp;
-
-void victim(uint64_t y, uint64_t z) {
-    if (y < size_A) {
-        uint8_t x = A[y];
-        if (z < 2) {
-            tmp &= B[x * 512];
-        } else {
-            tmp |= B[x * 64];
-        }
-    }
-}
-"""
+QUERIES = 40         # per function: 3/5 random block sets, 2/5 engine shapes
+#: The SAT reference re-encodes the whole function per query: ~0.8 s on
+#: donna's 2,815 blocks, so functions this large get a quarter of the
+#: queries.
+LARGE_BLOCKS = 1000
 
 
-def _aeg(source=BRANCHY, function="victim"):
+def _aegs(source):
+    module = compile_c(source)
+    for function in module.public_functions():
+        if function.blocks:
+            yield SAEG(build_acfg(module, function.name).function)
+
+
+def _queries(aeg, seed):
+    """Seeded random block sets of size 1-4 (one node per block: the
+    query depends only on the blocks) plus the engines' shapes:
+    (access, transmit) and (branch, transmit) pairs and (index|store,
+    access, transmit) triples over memory and branch nodes."""
+    rng = random.Random(repr((seed, aeg.function.name)))
+    total = QUERIES // 4 if len(aeg.function.blocks) > LARGE_BLOCKS \
+        else QUERIES
+    heads = [nodes[0] for nodes in aeg.by_block.values() if nodes]
+    events = aeg.memory_nodes() + aeg.branches()
+    shapes = total * 2 // 5 if len(events) >= 3 else 0
+    queries = [rng.sample(heads, rng.randint(1, min(4, len(heads))))
+               for _ in range(total - shapes)]
+    queries += [rng.sample(events, rng.choice((2, 3)))
+                for _ in range(shapes)]
+    return queries
+
+
+def _disagreements(source, seed=0):
+    """(function, blocks, chain, fresh) for every query the two
+    realizability checks answer differently; also the query count."""
+    mismatches, count = [], 0
+    for aeg in _aegs(source):
+        for nodes in _queries(aeg, seed):
+            count += 1
+            chain = aeg.realizable(nodes)
+            fresh = aeg.realizable_fresh(nodes)
+            if chain != fresh:
+                mismatches.append((aeg.function.name,
+                                   sorted({n.block for n in nodes}),
+                                   chain, fresh))
+    return mismatches, count
+
+
+def _aeg(source, function):
     module = compile_c(source)
     return SAEG(build_acfg(module, function).function)
-
-
-@pytest.fixture()
-def aeg():
-    return _aeg()
-
-
-class TestOracleLifecycle:
-    def test_lazy_single_encoding(self, aeg):
-        assert aeg._path_oracle is None
-        oracle = aeg.path_oracle
-        assert isinstance(oracle, PathOracle)
-        assert aeg.path_oracle is oracle  # cached, not rebuilt
-        nodes = aeg.memory_nodes() + aeg.branches()
-        for i in range(len(nodes)):
-            for j in range(i, len(nodes)):
-                aeg.realizable([nodes[i], nodes[j]])
-        assert oracle.encodes == 1
-
-    def test_statistics_shape(self, aeg):
-        aeg.realizable(aeg.memory_nodes()[:2])
-        stats = aeg.path_oracle.statistics
-        for key in ("queries", "memo_hits", "memo_misses", "encodes"):
-            assert key in stats
-        assert stats["encodes"] == 1
-
-    def test_empty_query_is_realizable(self, aeg):
-        assert aeg.realizable([])
-
-
-class TestMemoization:
-    def test_exact_repeat_is_a_hit(self, aeg):
-        oracle = aeg.path_oracle
-        nodes = aeg.memory_nodes()[:2]
-        first = aeg.realizable(nodes)
-        misses = oracle.misses
-        assert aeg.realizable(nodes) == first
-        assert aeg.realizable(list(reversed(nodes))) == first  # order-free
-        assert oracle.misses == misses
-        assert oracle.hits >= 2
-
-    def test_footprint_subsumption_counts_as_hit(self, aeg):
-        """A SAT model's executed-block set answers every subset query
-        without touching the solver."""
-        oracle = aeg.path_oracle
-        nodes = aeg.memory_nodes()
-        pair = [nodes[0], nodes[1]]
-        assert aeg.realizable(pair)  # miss: solver call, footprint stored
-        assert oracle.misses == 1
-        misses = oracle.misses
-        # Each single node is a strict subset of the pair's footprint.
-        assert aeg.realizable([nodes[0]])
-        assert aeg.realizable([nodes[1]])
-        assert oracle.misses == misses
-        assert oracle.hits == 2
-
-    def test_footprint_cap(self, aeg):
-        assert len(aeg.path_oracle._footprints) <= PathOracle.MAX_FOOTPRINTS
 
 
 class TestAgreementWithFresh:
@@ -98,41 +80,80 @@ class TestAgreementWithFresh:
         ("stl01", "case_1"),
     ])
     def test_pairs_and_triples_match_fresh(self, case, function):
-        incremental = _aeg(by_name(case).source, function)
-        fresh = _aeg(by_name(case).source, function)
-        nodes = incremental.memory_nodes() + incremental.branches()
+        """Exhaustive singles, pairs and consecutive triples."""
+        aeg = _aeg(by_name(case).source, function)
+        nodes = aeg.memory_nodes() + aeg.branches()
         streams = [[n] for n in nodes]
         streams += [[a, b] for i, a in enumerate(nodes) for b in nodes[i + 1:]]
         streams += [nodes[i:i + 3] for i in range(len(nodes) - 2)]
         for query in streams:
-            assert incremental.realizable(query) == \
-                fresh.realizable_fresh(query), [n.block for n in query]
-        assert incremental.path_oracle.encodes == 1
+            assert aeg.realizable(query) == aeg.realizable_fresh(query), \
+                [n.block for n in query]
+
+    @pytest.mark.parametrize("case", [c.name for c in all_litmus()])
+    def test_litmus(self, case):
+        mismatches, count = _disagreements(by_name(case).source)
+        assert count and not mismatches
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_generated_c(self, seed):
+        mismatches, count = _disagreements(generate_c(seed).source, seed)
+        assert count and not mismatches
+
+    def test_empty_query_is_realizable(self):
+        assert _aeg(by_name("pht01").source, "victim_function_v01"
+                    ).realizable([])
+
+    def test_chain_starts_at_the_entry(self):
+        """A block set that is a chain on its own is still unrealizable
+        when the entry cannot reach its first block (an orphan block
+        never executes: no incoming edge is ever taken)."""
+        from repro.ir import BasicBlock, Jump
+
+        aeg = _aeg(by_name("pht01").source, "victim_function_v01")
+        function = aeg.function
+        exit_label = function.blocks[-1].label
+        orphan = BasicBlock(label="orphan.0",
+                            instructions=[Jump(label=exit_label)])
+        function.blocks.append(orphan)
+        aeg = SAEG(function)
+        nodes = [aeg.by_block["orphan.0"][0],
+                 aeg.by_block[exit_label][0]]
+        assert not aeg.realizable(nodes)
+        assert not aeg.realizable_fresh(nodes)
+        assert aeg.realizable(nodes[1:]) and aeg.realizable_fresh(nodes[1:])
+
+
+@pytest.mark.slow
+class TestAgreementAtScale:
+    @pytest.mark.parametrize("case", [c.name for c in crypto_cases()])
+    def test_crypto(self, case):
+        mismatches, count = _disagreements(by_name(case).source)
+        assert count and not mismatches
+
+    @pytest.mark.parametrize("name,source", [
+        (name, source) for name, source in scaling_corpus()
+        if int(name.rsplit("_", 1)[1]) <= 60
+    ])
+    def test_fig8_synthetics(self, name, source):
+        mismatches, count = _disagreements(source)
+        assert count and not mismatches
+
+    def test_openssl_shaped_unit(self):
+        mismatches, count = _disagreements(
+            openssl_like_source(n_functions=12, seed=23))
+        assert count and not mismatches
+
+    @pytest.mark.parametrize("seed", range(8, 68))
+    def test_generated_c(self, seed):
+        mismatches, count = _disagreements(generate_c(seed).source, seed)
+        assert count and not mismatches
 
 
 class TestEngineIntegration:
-    def test_session_stats_prove_incremental_path(self):
-        from repro.sched import ClouSession
-
-        session = ClouSession(jobs=1, cache=False)
-        report = session.analyze(AnalysisRequest.analyze(by_name("pht01").source, engine="pht",
-                                 name="oracle-test"))
-        assert report.stats.sat_queries > 0
-        assert report.stats.sat_encodes <= len(report.functions)
-
-    def test_sat_stats_never_serialized(self):
-        from repro.sched import ClouSession
-
-        session = ClouSession(jobs=1, cache=False)
-        report = session.analyze(AnalysisRequest.analyze(by_name("pht01").source, engine="pht",
-                                 name="oracle-test"))
-        assert any(f.sat_stats for f in report.functions)
-        assert "sat_stats" not in to_json(report, stable=True)
-
     def test_output_identical_with_fresh_oracle(self, monkeypatch):
-        """The realizability checks are consistency checks, never
-        filters: swapping the incremental oracle for the fresh-per-query
-        reference must leave the analysis output byte-identical."""
+        """Swapping the chain check for the fresh-solver SAT reference
+        must leave the analysis output byte-identical."""
         from repro.sched import ClouSession
 
         source = by_name("pht03").source

@@ -143,39 +143,3 @@ class TestSerialization:
         second = json.dumps(function_report_dict(restored, stable=True),
                             sort_keys=True)
         assert first == second
-
-
-class TestConservativeUnknown:
-    """A budget-starved PathOracle must degrade toward unknown (keep
-    candidates), never decide unrealizable (drop them)."""
-
-    @pytest.fixture
-    def aeg(self):
-        from repro.clou.acfg import build_acfg
-        from repro.clou.aeg import SAEG
-        from repro.minic import compile_c
-
-        source = """
-        uint8_t A[16];
-        uint64_t size_A = 16;
-        uint64_t tmp;
-        void victim(uint64_t y) {
-            if (y < size_A) { tmp &= A[y]; }
-        }
-        """
-        module = compile_c(source, name="t")
-        return SAEG(build_acfg(module, "victim").function)
-
-    def test_budget_fault_degrades_to_unknown(self, aeg):
-        from repro.sched.faults import activate
-        from repro.solver import UNKNOWN
-
-        nodes = aeg.memory_nodes()[:1]
-        with activate("budget@oracle.query%1.0"):
-            assert aeg.realizable3(nodes) is UNKNOWN
-            # UNKNOWN is conservatively realizable: the candidate stays.
-            assert aeg.realizable(nodes) is True
-            # UNKNOWN is never memoized; the next unfaulted query decides.
-        verdict = aeg.realizable3(nodes)
-        assert verdict is True or verdict is False
-        assert aeg.path_oracle.unknowns == 2

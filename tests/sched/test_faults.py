@@ -15,18 +15,18 @@ class TestParseSpec:
         assert rule.nth == 3
 
     def test_probability_rule_with_seed(self):
-        plan = parse_spec("seed=7;budget@oracle.query%0.25")
+        plan = parse_spec("seed=7;budget@engine.candidate%0.25")
         assert plan.seed == 7
         [rule] = plan.rules
         assert rule.probability == 0.25
 
     def test_multiple_rules(self):
         plan = parse_spec("seed=1;hang@engine.candidate#2;"
-                          "budget@oracle.query%0.5")
+                          "budget@engine.candidate%0.5")
         assert len(plan.rules) == 2
 
     def test_round_trip(self):
-        spec = "seed=9;memory@engine.candidate#4;budget@oracle.query%0.125"
+        spec = "seed=9;memory@worker.item#4;budget@engine.candidate%0.125"
         assert parse_spec(spec).render() == spec
         assert parse_spec(parse_spec(spec).render()).render() == spec
 
@@ -36,7 +36,8 @@ class TestParseSpec:
         "crash@worker.item",           # missing trigger
         "crash@worker.item#0",         # hits are 1-based
         "crash@worker.item#x",         # non-integer hit
-        "budget@oracle.query%1.5",     # probability out of range
+        "budget@engine.candidate%1.5",  # probability out of range
+        "budget@oracle.query#1",       # removed site
         "seed=abc",                    # bad seed
         "no-at-sign",                  # malformed rule
     ])
@@ -47,19 +48,19 @@ class TestParseSpec:
 
 class TestDeterminism:
     def test_nth_fires_exactly_once(self):
-        plan = parse_spec("budget@oracle.query#2")
-        hits = [plan.fire("oracle.query") for _ in range(5)]
+        plan = parse_spec("budget@engine.candidate#2")
+        hits = [plan.fire("engine.candidate") for _ in range(5)]
         assert hits == [None, "budget", None, None, None]
 
     def test_probabilistic_fires_identically_across_plans(self):
-        spec = "seed=11;budget@oracle.query%0.5"
-        first = [parse_spec(spec).fire("oracle.query") for _ in range(1)]
+        spec = "seed=11;budget@engine.candidate%0.5"
+        first = [parse_spec(spec).fire("engine.candidate") for _ in range(1)]
         trace_a = []
         trace_b = []
         plan_a, plan_b = parse_spec(spec), parse_spec(spec)
         for _ in range(64):
-            trace_a.append(plan_a.fire("oracle.query"))
-            trace_b.append(plan_b.fire("oracle.query"))
+            trace_a.append(plan_a.fire("engine.candidate"))
+            trace_b.append(plan_b.fire("engine.candidate"))
         assert trace_a == trace_b
         assert "budget" in trace_a      # p=0.5 over 64 draws
         assert None in trace_a
@@ -67,8 +68,8 @@ class TestDeterminism:
 
     def test_seed_changes_the_trace(self):
         def trace(seed):
-            plan = parse_spec(f"seed={seed};budget@oracle.query%0.5")
-            return [plan.fire("oracle.query") for _ in range(64)]
+            plan = parse_spec(f"seed={seed};budget@engine.candidate%0.5")
+            return [plan.fire("engine.candidate") for _ in range(64)]
 
         assert trace(0) != trace(1)
 
@@ -81,9 +82,8 @@ class TestDeterminism:
         assert plan.fire("engine.candidate", hit=3) == "budget"
 
     def test_sites_documented(self):
-        for site in ("worker.item", "engine.candidate", "oracle.query",
-                     "serve.accept", "serve.read", "serve.write",
-                     "serve.dispatch"):
+        for site in ("worker.item", "engine.candidate", "serve.accept",
+                     "serve.read", "serve.write", "serve.dispatch"):
             assert site in SITES
 
 
@@ -93,12 +93,12 @@ class TestActivation:
         assert fault_point("worker.item") is None
 
     def test_activate_scopes_a_plan(self):
-        with activate("budget@oracle.query#1"):
-            assert fault_point("oracle.query") == "budget"
+        with activate("budget@engine.candidate#1"):
+            assert fault_point("engine.candidate") == "budget"
         assert active_plan() is None
 
     def test_activate_none_keeps_current_plan(self):
-        with activate("budget@oracle.query#1"):
+        with activate("budget@engine.candidate#1"):
             outer = active_plan()
             with activate(None):
                 assert active_plan() is outer
@@ -110,10 +110,10 @@ class TestActivation:
                 fault_point("worker.item")
 
     def test_fired_accounting(self):
-        with activate("budget@oracle.query%1.0") as plan:
-            fault_point("oracle.query")
-            fault_point("oracle.query")
-        assert plan.fired == {"budget@oracle.query": 2}
+        with activate("budget@engine.candidate%1.0") as plan:
+            fault_point("engine.candidate")
+            fault_point("engine.candidate")
+        assert plan.fired == {"budget@engine.candidate": 2}
 
 
 class TestServeSites:
@@ -154,3 +154,42 @@ class TestServeSites:
             thread.join()
         # Every arrival was counted exactly once despite the contention.
         assert plan._hits["serve.read"] == 800
+
+
+class TestBudgetSite:
+    """``budget@engine.candidate`` expires the engine's search budget
+    exactly as an elapsed timeout does."""
+
+    SOURCE = """
+uint8_t A[16];
+uint8_t B[256 * 512];
+uint64_t size_A = 16;
+uint64_t tmp;
+
+void victim(uint64_t y) {
+    if (y < size_A) {
+        uint8_t x = A[y];
+        tmp &= B[x * 512];
+    }
+}
+"""
+
+    def _run(self):
+        from repro.clou import SAEG, ClouConfig, build_acfg
+        from repro.clou.engine import ENGINES
+        from repro.minic import compile_c
+
+        module = compile_c(self.SOURCE)
+        aeg = SAEG(build_acfg(module, "victim").function)
+        return ENGINES["pht"](aeg, ClouConfig()).run()
+
+    def test_budget_skips_the_remaining_candidates(self):
+        clean = self._run()
+        assert clean.verdict == "leak" and clean.complete
+        with activate("budget@engine.candidate#1"):
+            report = self._run()
+        assert report.skipped > 0
+        assert report.timed_out
+        assert not report.complete
+        assert report.verdict == "unknown"
+        assert not report.witnesses

@@ -103,31 +103,23 @@ class TestPoolKillResume:
 
 
 class TestDegradationStats:
-    @pytest.fixture(autouse=True)
-    def _fresh_worker_memo(self):
-        # The process-local S-AEG cache shares PathOracle memos across
-        # items: a prior clean run would answer every realizability
-        # query from the memo and the oracle.query fault point (which
-        # only guards memo *misses*) would never fire.
-        from repro.sched import worker
-        worker.clear_caches()
-
     def test_budget_faults_surface_in_stats_and_coverage(self):
-        session = _session("budget@oracle.query%1.0", jobs=1)
+        session = _session("budget@engine.candidate%1.0", jobs=1)
         report = session.analyze(AnalysisRequest.analyze(VICTIM, engine="pht", name="victim.c"))
-        assert report.undecided > 0
+        assert report.skipped > 0
         assert not report.complete
         assert report.verdict == "unknown"
-        assert session.stats.undecided == report.undecided
-        assert session.stats.budget_exhausted > 0
+        assert session.stats.skipped == report.skipped
+        assert report.coverage()["skipped_by_budget"] == report.skipped
 
     def test_degraded_reports_are_not_cached(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        config = ClouConfig(fault_spec="budget@oracle.query%1.0")
+        config = ClouConfig(fault_spec="budget@engine.candidate%1.0")
         degraded = ClouSession(config, cache=True, cache_dir=cache_dir,
                                jobs=1)
-        degraded.analyze(
+        report = degraded.analyze(
             AnalysisRequest.analyze(VICTIM, engine="pht", name="victim.c"))
+        assert report.verdict == "unknown"
         # The degraded (incomplete) report must not have been stored
         # under this config's cache key.
         rerun = ClouSession(config, cache=True, cache_dir=cache_dir, jobs=1)

@@ -98,7 +98,7 @@ class TestResultWire:
 class TestStatsWire:
     def test_round_trip(self):
         stats = SessionStats(jobs=2, items=5, cache_hits=3, cache_misses=2,
-                             sat_queries=7, work_seconds=1.25)
+                             skipped=7, work_seconds=1.25)
         again = SessionStats.from_dict(stats.to_dict())
         assert again.to_dict() == stats.to_dict()
 
