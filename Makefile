@@ -3,7 +3,8 @@
 .PHONY: install test test-all lint bench bench-sched bench-solver \
 	bench-smoke table2 fig8 repair gallery fuzz fuzz-smoke \
 	fuzz-contract-smoke contract-matrix fault-smoke fault-sweep \
-	chaos-smoke chaos-sweep engines-smoke serve-smoke coverage all
+	chaos-smoke chaos-sweep engines-smoke serve-smoke bench-e2e-smoke \
+	coverage all
 
 install:
 	pip install -e . || python setup.py develop
@@ -108,6 +109,12 @@ lint:
 
 bench:
 	pytest benchmarks/ --benchmark-only -q
+
+# End-to-end benchmark smoke (see benchmarks/e2e/README.md): every
+# workload reduced, one untraced and one traced pass, with the
+# known-answer and seed-0 digest checks; under 30 s.
+bench-e2e-smoke:
+	python3 benchmarks/e2e/run.py --smoke
 
 # Scheduler speedup table (serial vs --jobs 4 vs warm cache); the
 # numbers land in EXPERIMENTS.md.

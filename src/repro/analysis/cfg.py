@@ -1,7 +1,7 @@
 """Block-level CFG utilities for the dataflow framework.
 
-The S-AEG builds its own flat node graph for windowed BFS; the analysis
-layer instead works at basic-block granularity, which is what the
+The S-AEG keeps its own block orderings for its windows; the analysis
+layer works at basic-block granularity too, which is what the
 classical worklist algorithms (reaching definitions, liveness, intervals)
 want.  ``BlockCFG`` precomputes successor/predecessor maps and orderings;
 dominators use the standard iterative intersection over reverse postorder

@@ -21,8 +21,8 @@ controlled; pointers loaded from memory are architecturally trusted
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.clou.alias import AliasAnalysis
 from repro.errors import ModelError
@@ -107,11 +107,17 @@ class SAEG:
         self._reach_mask: dict[str, int] = {}
         self._block_bit: dict[str, int] = {}
         self._successors: dict[str, list[str]] = {}
+        self._predecessors: dict[str, list[str]] = {}
+        # Per block: the index of its last lfence (-1 if none) and its
+        # loads, stores and branches in index order, for the windows.
+        self._last_fence: dict[str, int] = {}
+        self._block_loads: dict[str, list[AEGNode]] = {}
+        self._block_stores: dict[str, list[AEGNode]] = {}
+        self._block_branches: dict[str, list[AEGNode]] = {}
         self.rf_window = rf_window
         self.max_deps_per_temp = max_deps_per_temp
         self._build_nodes()
         self._build_reachability()
-        self._build_node_graph()
         self.deps: dict[str, tuple[Dep, ...]] = {}
         self.taint: dict[str, bool] = {}
         self._def_node: dict[str, AEGNode] = {}
@@ -165,17 +171,34 @@ class SAEG:
         position = 0
         nid = 0
         blocks_by_label = {b.label: b for b in self.function.blocks}
+        self._predecessors = {label: [] for label in order}
         for label in order:
+            for succ in self._successors[label]:
+                self._predecessors[succ].append(label)
             block = blocks_by_label[label]
             block_nodes = []
+            loads, stores, branches = [], [], []
+            last_fence = -1
             for index, ins in enumerate(block.instructions):
                 node = AEGNode(nid=nid, instruction=ins, block=label,
                                index=index, position=position)
                 self.nodes.append(node)
                 block_nodes.append(node)
+                if isinstance(ins, Load):
+                    loads.append(node)
+                elif isinstance(ins, Store):
+                    stores.append(node)
+                elif isinstance(ins, Branch):
+                    branches.append(node)
+                elif isinstance(ins, FenceInstr):
+                    last_fence = index
                 nid += 1
                 position += 1
             self.by_block[label] = block_nodes
+            self._block_loads[label] = loads
+            self._block_stores[label] = stores
+            self._block_branches[label] = branches
+            self._last_fence[label] = last_fence
 
     def _build_reachability(self) -> None:
         self._block_bit = {
@@ -187,57 +210,56 @@ class SAEG:
                 mask |= self._reach_mask[succ]
             self._reach_mask[label] = mask
 
-    def _build_node_graph(self) -> None:
-        """Instruction-level predecessor lists, for windowed reverse BFS."""
-        self._node_preds: list[list[int]] = [[] for _ in self.nodes]
-        last_of_block: dict[str, int] = {
-            label: nodes[-1].nid
-            for label, nodes in self.by_block.items() if nodes
-        }
-        for label, nodes in self.by_block.items():
-            for previous, node in zip(nodes, nodes[1:]):
-                self._node_preds[node.nid].append(previous.nid)
-        for label in self._block_order:
-            for succ in self._successors.get(label, ()):
-                succ_nodes = self.by_block.get(succ, [])
-                if succ_nodes and label in last_of_block:
-                    self._node_preds[succ_nodes[0].nid].append(
-                        last_of_block[label]
-                    )
-
     def window(self, anchor: AEGNode, bound: int) -> "WindowView":
-        """Reverse BFS from ``anchor``: for every node within ``bound``
-        fetched instructions, the minimal distance to the anchor and
-        whether an lfence-free path to the anchor exists.  This realizes
-        the §6.2.1 sliding window: one O(bound) pass per anchor, O(1)
-        queries afterwards."""
-        distances: dict[int, int] = {}
-        clear: set[int] = set()
-        frontier = [(anchor.nid, -1, True)]
-        # Each entry: (node, #instructions strictly between node and
-        # anchor, fence-free-so-far).
-        while frontier:
-            next_frontier: list[tuple[int, int, bool]] = []
-            for nid, distance, fence_free in frontier:
-                for pred in self._node_preds[nid]:
-                    pred_distance = distance + 1
-                    if pred_distance > bound:
-                        continue
-                    pred_node = self.nodes[pred]
-                    pred_clear = fence_free and not self.nodes[nid].is_fence \
-                        if nid != anchor.nid else True
-                    known = distances.get(pred)
-                    improves_distance = known is None or pred_distance < known
-                    improves_clear = pred_clear and pred not in clear
-                    if not improves_distance and not improves_clear:
-                        continue
-                    if improves_distance:
-                        distances[pred] = pred_distance
-                    if pred_clear:
-                        clear.add(pred)
-                    next_frontier.append((pred, pred_distance, pred_clear))
-            frontier = next_frontier
-        return WindowView(anchor, distances, clear)
+        """The §6.2.1 sliding window of ``anchor``: every node from which
+        the anchor is reachable within ``bound`` fetched instructions.
+
+        A path leaves a block only through its last node, so a node's
+        distance is its block's *exit* distance (instructions strictly
+        between the block's last node and the anchor) plus the block's
+        suffix after it.  One reverse walk over blocks, in decreasing
+        topological position so each block is final when popped, records
+        the minimal exit distance and the minimal exit distance along a
+        fence-free path; :class:`WindowView` answers node queries from
+        them arithmetically."""
+        label = anchor.block
+        fence = self._last_fence[label]
+        if fence >= anchor.index:
+            fence = max((node.index
+                         for node in self.by_block[label][:anchor.index]
+                         if node.is_fence), default=-1)
+        exits: dict[str, int] = {}
+        clear: dict[str, int] = {}
+        blocks: list[str] = []
+        position = self._block_position
+        heap: list[tuple[int, str]] = []
+        # Entering the anchor's block fetches its prefix before the anchor.
+        through = anchor.index
+        clear_through = through if fence < 0 else None
+        while True:
+            if through <= bound:
+                for pred in self._predecessors[label]:
+                    known = exits.get(pred)
+                    if known is None:
+                        exits[pred] = through
+                        heapq.heappush(heap, (-position[pred], pred))
+                    elif through < known:
+                        exits[pred] = through
+                    if clear_through is not None and \
+                            clear_through <= bound and \
+                            clear_through < clear.get(pred, bound + 1):
+                        clear[pred] = clear_through
+            if not heap:
+                break
+            label = heapq.heappop(heap)[1]
+            blocks.append(label)
+            size = len(self.by_block[label])
+            through = exits[label] + size
+            clear_through = None
+            if self._last_fence[label] < 0 and label in clear:
+                clear_through = clear[label] + size
+        blocks.reverse()
+        return WindowView(self, anchor, bound, fence, blocks, exits, clear)
 
     # ------------------------------------------------------------------
     # Ordering and distances
@@ -250,7 +272,7 @@ class SAEG:
         """a may execute before b on some path (strict)."""
         if a.block == b.block:
             return a.index < b.index
-        return a.block != b.block and self.block_reaches(a.block, b.block)
+        return self.block_reaches(a.block, b.block)
 
     def co_executable(self, a: AEGNode, b: AEGNode) -> bool:
         return a.block == b.block or self.before(a, b) or self.before(b, a)
@@ -300,10 +322,7 @@ class SAEG:
                 node.is_fence
                 for node in self.by_block[a.block][a.index + 1:b.index]
             )
-        suffix_clear = not any(
-            node.is_fence for node in self.by_block[a.block][a.index + 1:]
-        )
-        if not suffix_clear:
+        if self._last_fence[a.block] > a.index:
             return False
         prefix_clear = not any(
             node.is_fence for node in self.by_block[b.block][:b.index]
@@ -311,10 +330,7 @@ class SAEG:
         if not prefix_clear:
             return False
         # DAG search through fence-free intermediate blocks.
-        fenced = {
-            label for label, nodes in self.by_block.items()
-            if any(node.is_fence for node in nodes)
-        }
+        fenced = self._last_fence
         target = b.block
         seen = set()
         stack = [a.block]
@@ -323,7 +339,7 @@ class SAEG:
             for succ in self._successors.get(label, ()):
                 if succ == target:
                     return True
-                if succ in seen or succ in fenced:
+                if succ in seen or fenced[succ] >= 0:
                     continue
                 seen.add(succ)
                 stack.append(succ)
@@ -657,33 +673,77 @@ class SAEG:
 
 
 class WindowView:
-    """The result of one windowed reverse BFS (see :meth:`SAEG.window`).
+    """The §6.2.1 sliding window of one anchor (see :meth:`SAEG.window`).
 
     ``distance(n)`` is the minimal number of fetched instructions
     strictly between n and the anchor (None if the anchor is not
     reachable within the bound); ``fence_free(n)`` is True when some
-    path from n to the anchor carries no intervening lfence.
+    path of at most ``bound`` instructions from n to the anchor carries
+    no intervening lfence.  Both are arithmetic on the block's exit
+    distances, its size, the node's index and the block's last fence.
     """
 
-    __slots__ = ("anchor", "_distances", "_clear")
+    __slots__ = ("anchor", "bound", "_saeg", "_fence", "_blocks",
+                 "_exits", "_clear")
 
-    def __init__(self, anchor: AEGNode, distances: dict[int, int],
-                 clear: set[int]):
+    def __init__(self, saeg: SAEG, anchor: AEGNode, bound: int, fence: int,
+                 blocks: list[str], exits: dict[str, int],
+                 clear: dict[str, int]):
         self.anchor = anchor
-        self._distances = distances
-        self._clear = clear
+        self.bound = bound
+        self._saeg = saeg
+        self._fence = fence      # last lfence before the anchor, or -1
+        self._blocks = blocks    # blocks with an exit, in position order
+        self._exits = exits      # block -> minimal exit distance
+        self._clear = clear      # block -> minimal fence-free exit distance
+
+    def _suffix(self, node: AEGNode) -> int:
+        """Instructions after ``node`` in its block."""
+        return len(self._saeg.by_block[node.block]) - 1 - node.index
 
     def distance(self, node: AEGNode) -> int | None:
-        return self._distances.get(node.nid)
+        if node.block == self.anchor.block:
+            distance = self.anchor.index - node.index - 1
+        else:
+            exit_distance = self._exits.get(node.block)
+            if exit_distance is None:
+                return None
+            distance = exit_distance + self._suffix(node)
+        return distance if 0 <= distance <= self.bound else None
 
     def contains(self, node: AEGNode) -> bool:
-        return node.nid in self._distances
+        return self.distance(node) is not None
 
     def fence_free(self, node: AEGNode) -> bool:
-        return node.nid in self._clear
+        if node.block == self.anchor.block:
+            return self._fence <= node.index and \
+                self.distance(node) is not None
+        exit_distance = self._clear.get(node.block)
+        return exit_distance is not None and \
+            self._saeg._last_fence[node.block] <= node.index and \
+            exit_distance + self._suffix(node) <= self.bound
 
-    def nodes_within(self, saeg: "SAEG", bound: int) -> list[AEGNode]:
-        return [
-            saeg.nodes[nid] for nid, d in self._distances.items()
-            if d <= bound
-        ]
+    def _within(self, kinds: dict[str, list[AEGNode]],
+                bound: int) -> list[AEGNode]:
+        """The nodes of ``kinds`` within ``bound``, in position order."""
+        bound = min(bound, self.bound)
+        by_block = self._saeg.by_block
+        found = []
+        for label in self._blocks:
+            # Index j is in the window iff exit + (size - 1 - j) <= bound.
+            first = self._exits[label] + len(by_block[label]) - 1 - bound
+            found.extend(node for node in kinds[label] if node.index >= first)
+        anchor = self.anchor
+        first = anchor.index - 1 - bound
+        found.extend(node for node in kinds[anchor.block]
+                     if first <= node.index < anchor.index)
+        return found
+
+    def branches_within(self, bound: int) -> list[AEGNode]:
+        return self._within(self._saeg._block_branches, bound)
+
+    def loads_within(self, bound: int) -> list[AEGNode]:
+        return self._within(self._saeg._block_loads, bound)
+
+    def stores_within(self, bound: int) -> list[AEGNode]:
+        return self._within(self._saeg._block_stores, bound)

@@ -10,8 +10,8 @@ Scaling controls follow §6.2.1:
 
 1. a sliding window — for each candidate transmitter only the
    instructions that can reach it within ``window_size`` instructions
-   are considered (implemented as one windowed reverse BFS per
-   transmitter, see :meth:`repro.clou.aeg.SAEG.window`);
+   are considered (one block-granular reverse walk per transmitter,
+   see :meth:`repro.clou.aeg.SAEG.window`);
 2. at most one speculative write in a pattern (``max_store_hops``);
 3. universal patterns require a *transient* access instruction; a
    universal chain whose access commits is classified as a DT/CT.
@@ -324,7 +324,7 @@ class DetectionEngine:
                 # Without DT work an address dep matters only as the head
                 # of a universal chain, which a provably-bounded access
                 # cannot be — filter those deps before paying for the
-                # windowed BFS (and skip the transmitter entirely when
+                # window (and skip the transmitter entirely when
                 # nothing is left).
                 kept = tuple(
                     dep for dep in address_deps
@@ -376,7 +376,7 @@ class DetectionEngine:
                         view: WindowView, want: set[str],
                         report: FunctionReport) -> None:
         # Fig. 7 σ-compatibility: the chain endpoints must co-execute on
-        # one architectural path (the window BFS already walks real CFG
+        # one architectural path (the window already walks real CFG
         # edges, so this can only reject patterns the pairwise checks
         # over-approximated).
         if not self.aeg.realizable([access, transmit]):
@@ -524,12 +524,7 @@ class DetectionEngine:
     # -- helpers ---------------------------------------------------------------
 
     def _branches_in(self, view: WindowView) -> list[AEGNode]:
-        found = [
-            node for node in view.nodes_within(self.aeg, self.config.window_size)
-            if node.is_branch
-        ]
-        found.sort(key=lambda n: n.position)
-        return found
+        return view.branches_within(self.config.window_size)
 
     def _is_transient(self, node: AEGNode, primitive: AEGNode,
                       window_start: AEGNode | None, view: WindowView) -> bool:
@@ -543,15 +538,10 @@ class DetectionEngine:
             return True
         if not self.aeg.before(origin, node):
             return False
-        if node.nid == view.anchor.nid:
-            distance = view.distance(origin)
-            return (distance is not None
-                    and distance <= self.config.rob_size
-                    and view.fence_free(origin))
-        origin_distance = view.distance(origin)
-        if origin_distance is None or origin_distance > self.config.rob_size:
-            return False
-        return view.fence_free(origin)
+        distance = view.distance(origin)
+        return (distance is not None
+                and distance <= self.config.rob_size
+                and view.fence_free(origin))
 
     def _index_attacker_controlled(self, index: AEGNode) -> bool:
         result = index.instruction.result
@@ -695,9 +685,7 @@ class ClouSTL(DetectionEngine):
         for load in self.aeg.loads():
             view = self.aeg.window(load, self.config.lsq_size)
             best: AEGNode | None = None
-            for node in view.nodes_within(self.aeg, self.config.lsq_size):
-                if not node.is_store:
-                    continue
+            for node in view.stores_within(self.config.lsq_size):
                 if not view.fence_free(node):
                     continue
                 if not self.aeg.alias.may_alias(
@@ -705,8 +693,7 @@ class ClouSTL(DetectionEngine):
                     transient=self.config.assume_alias_prediction,
                 ):
                     continue
-                if best is None or node.position > best.position:
-                    best = node
+                best = node  # stores come in position order: keep the latest
             if best is not None:
                 bypassable[load.nid] = best
         return bypassable
@@ -717,16 +704,13 @@ class ClouSTL(DetectionEngine):
         at the bypassing load.  Any bypassable load ahead of the
         transmitter (within the ROB) opens a window over it."""
         sources = []
-        for node in view.nodes_within(self.aeg, self.config.rob_size):
-            if not node.is_load:
-                continue
+        for node in view.loads_within(self.config.rob_size):
             store = self._bypassable.get(node.nid)
             if store is None:
                 continue
             if not view.fence_free(node):
                 continue
             sources.append((store, node))
-        sources.sort(key=lambda pair: pair[1].position)
         return sources
 
     def universal_first_hop_ok(self, dep: Dep) -> bool:
@@ -1018,17 +1002,14 @@ class ClouPSF(ClouSTL):
         for load in self.aeg.loads():
             view = self.aeg.window(load, self.config.lsq_size)
             best: AEGNode | None = None
-            for node in view.nodes_within(self.aeg, self.config.lsq_size):
-                if not node.is_store:
-                    continue
+            for node in view.stores_within(self.config.lsq_size):
                 if not view.fence_free(node):
                     continue
                 if self.aeg.alias.alias(
                     node.instruction.pointer, load.instruction.pointer,
                 ) is AliasResult.MUST:
                     continue  # a correct forward: STL's case, not PSF's
-                if best is None or node.position > best.position:
-                    best = node
+                best = node  # stores come in position order: keep the latest
             if best is not None:
                 pairs[load.nid] = best
         return pairs

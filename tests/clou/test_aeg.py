@@ -4,7 +4,20 @@ import pytest
 
 from repro.clou import SAEG, build_acfg
 from repro.errors import ModelError
-from repro.ir import Load, Store
+from repro.ir import (
+    I1,
+    VOID,
+    Argument,
+    BasicBlock,
+    BinOp,
+    Branch,
+    FenceInstr,
+    Function,
+    Jump,
+    Load,
+    Ret,
+    Store,
+)
 from repro.minic import compile_c
 
 SPECTRE_V1 = """
@@ -30,6 +43,29 @@ def _aeg(source, function):
 @pytest.fixture(scope="module")
 def v1():
     return _aeg(SPECTRE_V1, "victim")
+
+
+def _filler(count):
+    return [BinOp() for _ in range(count)]
+
+
+def _hand_built(blocks):
+    """An S-AEG over hand-built ``(label, instructions)`` blocks."""
+    return SAEG(Function(
+        name="f", params=[("c", I1)], return_type=VOID,
+        blocks=[BasicBlock(label, list(body)) for label, body in blocks]))
+
+
+def _diamond(join):
+    """entry branches to a 2-instruction arm holding an lfence and a
+    5-instruction fence-free arm; both jump to ``join``."""
+    return _hand_built([
+        ("entry", [Branch(cond=Argument("c", I1), then_label="short",
+                          else_label="long")]),
+        ("short", [FenceInstr(), Jump(label="join")]),
+        ("long", _filler(4) + [Jump(label="join")]),
+        ("join", join),
+    ])
 
 
 def _load_of(aeg, fragment):
@@ -104,6 +140,62 @@ void f(uint64_t y) {
         view = v1.window(body[-1], 100)
         branch = next(n for n in v1.nodes if n.is_branch)
         assert view.fence_free(branch)
+
+    def test_fence_free_detour_longer_than_shortest_path(self):
+        """fence_free asks for *some* fence-free path within the bound:
+        the lfence sits on the short arm, the long arm is clear."""
+        aeg = _diamond(_filler(1) + [Ret()])
+        anchor = aeg.by_block["join"][1]
+        branch = aeg.by_block["entry"][0]
+        short_fence, short_jump = aeg.by_block["short"]
+        # short arm: 2 + join prefix 1; long arm: 5 + 1.
+        fits = aeg.window(anchor, 6)
+        assert fits.distance(branch) == 3
+        assert fits.fence_free(branch)
+        tight = aeg.window(anchor, 5)
+        assert tight.distance(branch) == 3
+        assert not tight.fence_free(branch)
+        for view in (fits, tight):
+            assert view.fence_free(short_fence)  # the fence is not between
+            assert view.fence_free(short_jump)
+        assert tight.branches_within(5) == [branch]
+        assert tight.branches_within(2) == []
+
+    def test_anchor_at_block_start(self):
+        aeg = _diamond([Ret()])
+        anchor = aeg.by_block["join"][0]
+        view = aeg.window(anchor, 10)
+        assert view.distance(aeg.by_block["short"][-1]) == 0
+        assert view.distance(aeg.by_block["long"][-1]) == 0
+        assert view.distance(aeg.by_block["entry"][0]) == 2
+        assert view.fence_free(aeg.by_block["entry"][0])  # via the long arm
+        assert not view.contains(anchor)
+        assert not view.fence_free(anchor)
+
+    def test_fence_just_before_anchor(self):
+        aeg = _hand_built([
+            ("entry", [Jump(label="body")]),
+            ("body", _filler(2) + [FenceInstr(), Ret()]),
+        ])
+        first, second, fence, anchor = aeg.by_block["body"]
+        view = aeg.window(anchor, 10)
+        assert view.distance(fence) == 0 and view.fence_free(fence)
+        assert view.distance(second) == 1 and not view.fence_free(second)
+        assert not view.fence_free(first)
+        entry = aeg.by_block["entry"][0]
+        assert view.distance(entry) == 3 and not view.fence_free(entry)
+
+    def test_bound_zero_keeps_immediate_predecessors(self):
+        aeg = _diamond([Ret()])
+        view = aeg.window(aeg.by_block["join"][0], 0)
+        inside = {node for node in aeg.nodes if view.contains(node)}
+        assert inside == {aeg.by_block["short"][-1], aeg.by_block["long"][-1]}
+        assert all(view.distance(node) == 0 for node in inside)
+        assert all(view.fence_free(node) for node in inside)
+        inner = _diamond(_filler(1) + [Ret()])
+        view = inner.window(inner.by_block["join"][1], 0)
+        assert [node for node in inner.nodes if view.contains(node)] == \
+            [inner.by_block["join"][0]]
 
     def test_window_agrees_with_min_distance(self, v1):
         body = v1.by_block["if.then.0"]
