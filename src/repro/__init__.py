@@ -18,25 +18,22 @@ The package implements, from scratch:
 
 Quickstart::
 
-    from repro import ClouSession
+    from repro import AnalysisRequest, ClouSession
     session = ClouSession(jobs=4)
-    report = session.analyze(open("victim.c").read(), engine="pht")
+    report = session.analyze(AnalysisRequest.analyze(
+        open("victim.c").read(), engine="pht", name="victim.c"))
     for transmitter in report.transmitters:
         print(transmitter)
-
-(``analyze_source`` and friends still work but are deprecated shims
-over :class:`~repro.sched.ClouSession`.)
 """
 
 __version__ = "1.0.0"
 
 _LAZY_EXPORTS = {
-    "CLOU_DEFAULT_CONFIG": ("repro.clou.driver", "CLOU_DEFAULT_CONFIG"),
-    "ClouConfig": ("repro.clou.driver", "ClouConfig"),
+    "CLOU_DEFAULT_CONFIG": ("repro.clou.engine", "CLOU_DEFAULT_CONFIG"),
+    "ClouConfig": ("repro.clou.engine", "ClouConfig"),
     "ClouSession": ("repro.sched", "ClouSession"),
     "AnalysisRequest": ("repro.sched", "AnalysisRequest"),
     "AnalysisResult": ("repro.sched", "AnalysisResult"),
-    "analyze_source": ("repro.clou.driver", "analyze_source"),
     "LeakageContainmentModel": ("repro.lcm.contracts", "LeakageContainmentModel"),
     "TransmitterClass": ("repro.lcm.taxonomy", "TransmitterClass"),
 }
@@ -60,6 +57,5 @@ __all__ = [
     "ClouSession",
     "LeakageContainmentModel",
     "TransmitterClass",
-    "analyze_source",
     "__version__",
 ]

@@ -12,6 +12,11 @@ content-addressed under ``--cache-dir`` (default ``$REPRO_CACHE_DIR`` or
 ``~/.cache/repro-clou``; ``--no-cache`` disables).  ``--stats`` prints
 the scheduler's cache/retry/timing counters — to stderr under ``--json``
 so the JSON stays byte-stable.
+
+Given a daemon address (``--socket``/``--port``, or ``$REPRO_SOCKETS`` /
+``$REPRO_SOCKET``), the same requests go to a ``clou serve`` daemon
+instead, with identical output; an unreachable daemon falls back to the
+in-process session.
 """
 
 from __future__ import annotations
@@ -77,14 +82,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="detect transmitters")
     _add_analyze_flags(analyze)
+    _add_daemon_flags(analyze, priority=True)
 
     lint = sub.add_parser(
         "lint",
         help="sequential constant-time lint (dataflow only, no solver)")
     _add_lint_flags(lint)
+    _add_daemon_flags(lint, priority=True)
 
     repair = sub.add_parser("repair", help="insert minimal lfences")
     _add_repair_flags(repair)
+    _add_daemon_flags(repair, priority=True)
 
     serve = sub.add_parser(
         "serve",
@@ -131,37 +139,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="size budget in MiB (default: 1024)")
 
     client = sub.add_parser(
-        "client",
-        help="talk to a clou serve daemon (falls back to in-process "
-             "analysis when none is reachable)")
-    csub = client.add_subparsers(dest="client_command", required=True)
-    canalyze = csub.add_parser(
-        "analyze",
-        help="analyze via the daemon; same flags and byte-identical "
-             "--json output as 'clou analyze'")
-    _add_analyze_flags(canalyze)
-    _add_daemon_flags(canalyze)
-    canalyze.add_argument("--priority", type=int, default=0, metavar="N",
-                          help="queue priority on the daemon (lower runs "
-                               "first; default 0)")
-    clint = csub.add_parser(
-        "lint",
-        help="lint via the daemon; same flags and byte-identical "
-             "--json output as 'clou lint'")
-    _add_lint_flags(clint)
-    _add_daemon_flags(clint)
-    clint.add_argument("--priority", type=int, default=0, metavar="N",
-                       help="queue priority on the daemon (lower runs "
-                            "first; default 0)")
-    crepair = csub.add_parser(
-        "repair",
-        help="repair via the daemon; same flags and identical output "
-             "as 'clou repair'")
-    _add_repair_flags(crepair)
-    _add_daemon_flags(crepair)
-    crepair.add_argument("--priority", type=int, default=0, metavar="N",
-                         help="queue priority on the daemon (lower runs "
-                              "first; default 0)")
+        "client", help="query or stop a clou serve daemon")
+    csub = client.add_subparsers(dest="client_op", required=True)
     cstatus = csub.add_parser(
         "status", help="print the daemon's queue depth and session stats")
     _add_daemon_flags(cstatus)
@@ -210,10 +189,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_lint_flags(parser: argparse.ArgumentParser) -> None:
-    """The ``clou lint`` surface — shared verbatim with ``clou client
-    lint`` so the daemon path accepts exactly the same flags (and
-    builds the identical requests, which is what makes ``--json``
-    byte-identical)."""
     parser.add_argument("sources", nargs="+", help="C source file(s)")
     parser.add_argument("--secrets", default="",
                         help="comma-separated secret symbols (globals or "
@@ -232,8 +207,6 @@ def _add_lint_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_repair_flags(parser: argparse.ArgumentParser) -> None:
-    """The ``clou repair`` surface — shared verbatim with ``clou
-    client repair`` (same flags, same requests, identical output)."""
     parser.add_argument("source", help="C source file")
     parser.add_argument("--engine", choices=_ENGINE_CHOICES, default="pht",
                         help="detection engine to repair against, or "
@@ -246,7 +219,8 @@ def _add_repair_flags(parser: argparse.ArgumentParser) -> None:
     _add_scheduler_flags(parser)
 
 
-def _add_daemon_flags(parser: argparse.ArgumentParser) -> None:
+def _add_daemon_flags(parser: argparse.ArgumentParser, *,
+                      priority: bool = False) -> None:
     parser.add_argument("--socket", action="append", default=None,
                         metavar="PATH",
                         help="daemon UNIX socket; repeat for an ordered "
@@ -269,13 +243,13 @@ def _add_daemon_flags(parser: argparse.ArgumentParser) -> None:
                         help="extra attempts on busy/unreachable daemons, "
                              "with seeded-jitter exponential backoff and "
                              "--socket failover (default: 2)")
+    if priority:
+        parser.add_argument("--priority", type=int, default=0, metavar="N",
+                            help="queue priority on the daemon (lower runs "
+                                 "first; default 0)")
 
 
 def _add_analyze_flags(analyze: argparse.ArgumentParser) -> None:
-    """The full ``clou analyze`` surface — shared verbatim with
-    ``clou client analyze`` so the daemon path accepts exactly the
-    same flags (and so both build the identical request/config,
-    which is what makes ``--json`` byte-identical)."""
     analyze.add_argument("source", nargs="?", default=None,
                          help="C source file")
     analyze.add_argument("--engine", choices=_ENGINE_CHOICES, default="pht",
@@ -345,7 +319,7 @@ def _config_from_args(args) -> "ClouConfig":
     )
 
 
-def _session_from_args(args, config=None) -> ClouSession:
+def _session_from_args(args) -> ClouSession:
     cache_dir = None
     if not args.no_cache:
         cache_dir = (args.cache_dir or default_cache_dir()
@@ -353,7 +327,7 @@ def _session_from_args(args, config=None) -> ClouSession:
     # The engines' cooperative budget normally fires first; the
     # wall-clock kill (2x grace) only reaps workers hung outside it.
     hard_timeout = args.timeout * 2 if args.timeout else None
-    return ClouSession(config=config, jobs=args.jobs, timeout=hard_timeout,
+    return ClouSession(jobs=args.jobs, timeout=hard_timeout,
                        cache=not args.no_cache, cache_dir=cache_dir,
                        memory_limit_mb=args.memory_limit,
                        stall_timeout=args.stall_timeout)
@@ -416,19 +390,13 @@ def _run_analyze(args) -> int:
               "(or --list-engines)", file=sys.stderr)
         return EXIT_USAGE
     source = _read(args.source)
-    session = _session_from_args(args, config=_config_from_args(args))
+    config = _config_from_args(args)
     engines = engine_names() if args.engine == "all" else (args.engine,)
-    reports = [session.analyze(AnalysisRequest.analyze(
-                   source, engine=engine, name=args.source))
-               for engine in engines]
-    return _emit_analyze(args, reports, engines, session.stats)
-
-
-def _emit_analyze(args, reports, engines, stats) -> int:
-    """Shared back half of ``clou analyze`` and ``clou client
-    analyze``: identical printing (hence byte-identical ``--json``)
-    and identical exit-code mapping regardless of where the reports
-    were computed."""
+    results, stats = _run_requests(args, [
+        AnalysisRequest.analyze(source, engine=engine, name=args.source,
+                                config=config)
+        for engine in engines])
+    reports = [result.report for result in results]
     threshold = _severity_threshold(args.fail_on_severity)
     codes = [_analyze_exit_code(report, threshold, args.fail_on_incomplete)
              for report in reports]
@@ -446,10 +414,9 @@ def _emit_analyze(args, reports, engines, stats) -> int:
                 [module_report_dict(report, stable=True)
                  for report in reports],
                 indent=2, ensure_ascii=False, sort_keys=True))
-        _print_stats(args, stats)
-        return _combine_exit_codes(codes)
-    for report in reports:
-        _print_analyze_report(args, report, engines)
+    else:
+        for report in reports:
+            _print_analyze_report(args, report, engines)
     _print_stats(args, stats)
     return _combine_exit_codes(codes)
 
@@ -498,30 +465,14 @@ def _print_analyze_report(args, report, engines) -> None:
           f"skipped={coverage['skipped_by_budget']})")
 
 
-def _lint_requests(args) -> list[AnalysisRequest]:
+def _run_lint(args) -> int:
     secrets = tuple(s for s in args.secrets.split(",") if s)
     public = tuple(s for s in args.public.split(",") if s)
-    return [AnalysisRequest(source=_read(path), kind="lint", name=path,
-                            secrets=secrets, public=public)
-            for path in args.sources]
-
-
-def _run_lint(args) -> int:
-    session = _session_from_args(args)
-    results = session.run(_lint_requests(args))
-    for result in results:
-        if result.exception is not None:
-            raise result.exception
-        if result.error is not None:
-            raise SystemExit(f"lint {result.request.name}: {result.error}")
-    return _emit_lint(args, [result.lint for result in results],
-                      session.stats)
-
-
-def _emit_lint(args, reports, stats) -> int:
-    """Shared back half of ``clou lint`` and ``clou client lint``:
-    identical printing (hence byte-identical ``--json``) and identical
-    exit-code mapping regardless of where the reports were computed."""
+    results, stats = _run_requests(args, [
+        AnalysisRequest.lint(_read(path), name=path, secrets=secrets,
+                             public=public)
+        for path in args.sources])
+    reports = [result.lint for result in results]
     if args.json:
         import json
 
@@ -551,28 +502,81 @@ def _run_repair(args) -> int:
     from repro.clou import ClouConfig
 
     config = ClouConfig(timeout_seconds=args.timeout)
-    session = _session_from_args(args, config=config)
-    engines = engine_names() if args.engine == "all" else (args.engine,)
     source = _read(args.source)
-    outcomes = [session.repair(AnalysisRequest.repair(
-                    source, engine=engine, name=args.source,
-                    strategy=args.strategy))
-                for engine in engines]
-    return _emit_repair(args, outcomes, session.stats)
-
-
-def _emit_repair(args, outcomes, stats) -> int:
-    """Shared back half of ``clou repair`` and ``clou client repair``:
-    identical output and exit-code mapping."""
+    engines = engine_names() if args.engine == "all" else (args.engine,)
+    results, stats = _run_requests(args, [
+        AnalysisRequest.repair(source, engine=engine, name=args.source,
+                               strategy=args.strategy, config=config)
+        for engine in engines])
     ok = True
-    for results in outcomes:
-        for result in results:
-            print(result.summary())
-            for block, index in result.fences:
+    for result in results:
+        for repaired in result.repairs:
+            print(repaired.summary())
+            for block, index in repaired.fences:
                 print(f"  lfence at {block}#{index}")
-            ok &= result.fully_repaired
+            ok &= repaired.fully_repaired
     _print_stats(args, stats)
     return 0 if ok else 1
+
+
+class _Degraded(Exception):
+    """The daemon shed the command's requests (busy) or they missed
+    their ``--deadline``: coverage is incomplete, exit 3."""
+
+
+def _run_requests(args, requests: list[AnalysisRequest]):
+    """Run one command's requests and return ``(results, stats)``,
+    raising the first failed request's error.
+
+    With a daemon address configured, the requests go to ``clou
+    serve``; an unreachable daemon falls back to the in-process
+    session — the daemon is an accelerator, never a dependency.  With
+    no address, no client is built and the session runs the requests.
+    """
+    from repro.sched import SessionStats
+
+    results = (_daemon_results(args, requests)
+               if _daemon_configured(args) else None)
+    if results is None:
+        session = _session_from_args(args)
+        results, stats = session.run(requests), session.stats
+    else:
+        stats = SessionStats()
+        for result in results:
+            stats.merge(result.stats)
+    for result in results:
+        if result.exception is not None:
+            raise result.exception
+        if result.error is None:
+            continue
+        if result.request.kind == "lint":
+            raise SystemExit(f"lint {result.request.name}: {result.error}")
+        from repro.errors import AnalysisError
+
+        raise AnalysisError(result.error)
+    return results, stats
+
+
+def _daemon_results(args, requests: list[AnalysisRequest]):
+    """The daemon's results, or ``None`` when no daemon is reachable.
+    A busy or over-deadline daemon raises :class:`_Degraded`."""
+    from repro.serve import DaemonBusy, DaemonUnreachable, DeadlineExceeded
+
+    try:
+        with _client_from_args(args) as client:
+            return [client.analyze(request, priority=args.priority)
+                    for request in requests]
+    except DaemonUnreachable:
+        return None
+    except (DaemonBusy, DeadlineExceeded) as error:
+        raise _Degraded(str(error)) from error
+
+
+def _daemon_configured(args) -> bool:
+    from repro.sched import env_socket, env_sockets
+
+    return bool(any(args.socket or ()) or args.port is not None
+                or env_sockets() or env_socket())
 
 
 def _daemon_address(args) -> tuple[str | None, int | None]:
@@ -650,124 +654,22 @@ def _run_cache(args) -> int:
 
 
 def _run_client(args) -> int:
-    from repro.serve import DaemonBusy, DaemonUnreachable, DeadlineExceeded
+    from repro.serve import DaemonUnreachable
 
     client = _client_from_args(args)
-    if args.client_command == "status":
-        import json
-
-        try:
-            with client:
-                print(json.dumps(client.status(), indent=2, sort_keys=True))
-        except DaemonUnreachable as error:
-            print(f"clou client: {error}", file=sys.stderr)
-            return 1
-        return EXIT_CLEAN
-    if args.client_command == "shutdown":
-        try:
-            with client:
-                client.shutdown()
-        except DaemonUnreachable as error:
-            print(f"clou client: {error}", file=sys.stderr)
-            return 1
-        print(f"clou client: daemon at {client.address} shut down")
-        return EXIT_CLEAN
-    if args.client_command == "lint":
-        # Daemon-first, in-process fallback — same shape as analyze:
-        # the daemon is an accelerator, never a dependency.
-        try:
-            with client:
-                return _client_lint(args, client)
-        except DaemonUnreachable:
-            return _run_lint(args)
-        except (DaemonBusy, DeadlineExceeded) as error:
-            print(f"clou client: {error}", file=sys.stderr)
-            return EXIT_INCOMPLETE
-    if args.client_command == "repair":
-        try:
-            with client:
-                return _client_repair(args, client)
-        except DaemonUnreachable:
-            return _run_repair(args)
-        except (DaemonBusy, DeadlineExceeded) as error:
-            print(f"clou client: {error}", file=sys.stderr)
-            return EXIT_INCOMPLETE
-    # client analyze: daemon-first, in-process fallback.
-    if args.list_engines:
-        return _list_engines()
-    if args.source is None:
-        print("clou client analyze: a C source file is required "
-              "(or --list-engines)", file=sys.stderr)
-        return EXIT_USAGE
-    source = _read(args.source)
-    engines = engine_names() if args.engine == "all" else (args.engine,)
-    config = _config_from_args(args)
     try:
         with client:
-            reports, stats = _client_reports(args, client, source, engines,
-                                             config)
-    except DaemonUnreachable:
-        # The daemon is an accelerator, not a dependency: run the
-        # identical analysis in-process (same request, same config,
-        # same cache keys — and the same bytes under --json).
-        return _run_analyze(args)
-    except (DaemonBusy, DeadlineExceeded) as error:
+            if args.client_op == "status":
+                import json
+
+                print(json.dumps(client.status(), indent=2, sort_keys=True))
+                return EXIT_CLEAN
+            client.shutdown()
+    except DaemonUnreachable as error:
         print(f"clou client: {error}", file=sys.stderr)
-        return EXIT_INCOMPLETE
-    return _emit_analyze(args, reports, engines, stats)
-
-
-def _client_lint(args, client) -> int:
-    from repro.sched import SessionStats
-
-    reports, stats = [], SessionStats()
-    for request in _lint_requests(args):
-        result = client.analyze(request, priority=args.priority)
-        if result.error is not None:
-            raise SystemExit(f"lint {result.request.name}: {result.error}")
-        reports.append(result.lint)
-        stats.merge(result.stats)
-    return _emit_lint(args, reports, stats)
-
-
-def _client_repair(args, client) -> int:
-    from repro.clou import ClouConfig
-    from repro.errors import AnalysisError
-    from repro.sched import SessionStats
-
-    # The same per-engine requests _run_repair builds; the config rides
-    # the request so the daemon honors --timeout.
-    config = ClouConfig(timeout_seconds=args.timeout)
-    source = _read(args.source)
-    engines = engine_names() if args.engine == "all" else (args.engine,)
-    outcomes, stats = [], SessionStats()
-    for engine in engines:
-        result = client.analyze(AnalysisRequest.repair(
-            source, engine=engine, name=args.source,
-            strategy=args.strategy, config=config),
-            priority=args.priority)
-        if result.error is not None:
-            raise AnalysisError(result.error)
-        outcomes.append(result.repairs)
-        stats.merge(result.stats)
-    return _emit_repair(args, outcomes, stats)
-
-
-def _client_reports(args, client, source, engines, config):
-    from repro.errors import AnalysisError
-    from repro.sched import SessionStats
-
-    reports, stats = [], SessionStats()
-    for engine in engines:
-        result = client.analyze(
-            AnalysisRequest.analyze(source, engine=engine,
-                                    name=args.source, config=config),
-            priority=args.priority)
-        if result.error is not None:
-            raise AnalysisError(result.error)
-        reports.append(result.report)
-        stats.merge(result.stats)
-    return reports, stats
+        return 1
+    print(f"clou client: daemon at {client.address} shut down")
+    return EXIT_CLEAN
 
 
 def _run_fuzz(args) -> int:
@@ -829,6 +731,9 @@ def main(argv: list[str] | None = None) -> int:
             return _run_cache(args)
         if args.command == "fuzz":
             return _run_fuzz(args)
+    except _Degraded as error:
+        print(f"clou {args.command}: {error}", file=sys.stderr)
+        return EXIT_INCOMPLETE
     except (KeyboardInterrupt, SchedulerInterrupt):
         print("interrupted; worker pool shut down cleanly", file=sys.stderr)
         return EXIT_INTERRUPTED

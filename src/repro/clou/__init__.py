@@ -3,16 +3,9 @@
 from repro.clou.acfg import ACFG, build_acfg, inline_calls, unroll_loops
 from repro.clou.aeg import SAEG, AEGNode, Dep
 from repro.clou.alias import AliasAnalysis, AliasResult, Provenance
-from repro.clou.driver import (
+from repro.clou.engine import (
     CLOU_DEFAULT_CONFIG,
     ClouConfig,
-    analyze_function,
-    analyze_module,
-    analyze_source,
-    repair_function,
-    repair_source,
-)
-from repro.clou.engine import (
     ClouFWD,
     ClouPHT,
     ClouPSF,
@@ -53,9 +46,6 @@ __all__ = [
     "Provenance",
     "RepairResult",
     "SAEG",
-    "analyze_function",
-    "analyze_module",
-    "analyze_source",
     "build_acfg",
     "engine_names",
     "inline_calls",
@@ -66,7 +56,5 @@ __all__ = [
     "ranges_for",
     "register_engine",
     "repair",
-    "repair_function",
-    "repair_source",
     "unroll_loops",
 ]

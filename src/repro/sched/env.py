@@ -42,11 +42,11 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: Deterministic fault-injection spec (see :mod:`repro.sched.faults`).
 FAULTS_ENV = "REPRO_FAULTS"
 
-#: Default UNIX socket path for ``clou serve`` / ``clou client``.
+#: Default UNIX socket path for ``clou serve`` and its clients.
 SOCKET_ENV = "REPRO_SOCKET"
 
-#: ``os.pathsep``-separated UNIX socket failover list for ``clou
-#: client`` (tried in order; wins over ``$REPRO_SOCKET`` when set).
+#: ``os.pathsep``-separated UNIX socket failover list for daemon
+#: clients (tried in order; wins over ``$REPRO_SOCKET`` when set).
 SOCKETS_ENV = "REPRO_SOCKETS"
 
 #: Default tenant name stamped on client envelopes for the daemon's

@@ -1,7 +1,6 @@
 """The unified Clou analysis API: :class:`ClouSession`.
 
-A session owns the knobs that used to be sprinkled across the
-``analyze_*`` / ``repair_*`` / lint free functions — the
+A session owns the knobs of a Clou run — the
 :class:`ClouConfig`, the job count, the per-item wall-clock timeout, the
 retry budget, and the on-disk result cache — and exposes one batch
 entrypoint, :meth:`ClouSession.run`, over :class:`AnalysisRequest`
@@ -15,8 +14,8 @@ values::
     print(result.report.summary())
 
 Convenience wrappers (:meth:`analyze`, :meth:`repair`, :meth:`lint`)
-cover the one-request case; the deprecated module-level functions in
-:mod:`repro.clou.driver` are thin shims over them.
+cover the one-request case and raise request errors instead of
+capturing them.
 
 Each request expands into independent ``(function, engine)`` work items
 that the scheduler fans out with crash isolation, timeouts, retries, and
@@ -29,8 +28,7 @@ cached/uncached runs.
 from __future__ import annotations
 
 import time
-import warnings
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field
 
 from repro.analysis.lint import LintReport, lint_report_dict, \
     lint_report_from_dict
@@ -57,9 +55,6 @@ _KINDS = ("analyze", "repair", "lint")
 #: ``from_dict`` sides reject versions they do not know.
 REQUEST_SCHEMA_VERSION = 1
 
-_UNSET = object()
-
-
 @dataclass(frozen=True)
 class AnalysisRequest:
     """One unit of user intent: analyze, repair, or lint one source.
@@ -85,7 +80,7 @@ class AnalysisRequest:
     #: never serialized, never cached (there is no source to key on).
     module: object | None = field(default=None, compare=False, repr=False)
 
-    # -- constructors (the former kwarg soup of ClouSession.analyze) ---
+    # -- constructors ---------------------------------------------------
 
     @classmethod
     def analyze(cls, source: str, *, engine: str = "pht", name: str = "",
@@ -341,84 +336,38 @@ class ClouSession:
         self.stats.merge(batch)
         return results
 
-    def _coerce(self, request, kind: str, kwargs: dict) -> AnalysisRequest:
-        """Accept the new currency (an :class:`AnalysisRequest`) or the
-        deprecated ``(source, **kwargs)`` soup, normalizing to a
-        request.  The legacy path warns — the repo's own suite escalates
-        that warning to an error (setup.cfg), the PR 2 precedent."""
-        if isinstance(request, AnalysisRequest):
-            extra = {k: v for k, v in kwargs.items() if v is not _UNSET}
-            if extra:
-                raise TypeError(
-                    f"ClouSession.{kind}(AnalysisRequest) takes no extra "
-                    f"keywords (got {sorted(extra)}); set the fields on "
-                    f"the request instead")
-            if request.kind != kind:
-                raise AnalysisError(
-                    f"ClouSession.{kind}() got a {request.kind!r} request")
-            return request
-        warnings.warn(
-            f"passing source text and keywords to ClouSession.{kind} is "
-            f"deprecated; build an AnalysisRequest.{kind}(...) instead",
-            DeprecationWarning, stacklevel=3)
-        build = getattr(AnalysisRequest, kind)
-        return build(request, **{key: value for key, value in kwargs.items()
-                                 if value is not _UNSET})
-
-    def analyze(self, request, *, engine=_UNSET, name=_UNSET,
-                config=_UNSET, functions=_UNSET) -> ModuleReport:
-        """Analyze one :class:`AnalysisRequest` (kind ``analyze``) and
-        return its :class:`ModuleReport`; raises on parse errors, like
-        the historical ``analyze_source``.
-
-        .. deprecated:: passing raw source text plus keywords — build
-           the request with :meth:`AnalysisRequest.analyze` instead.
-        """
-        request = self._coerce(request, "analyze", {
-            "engine": engine, "name": name, "config": config,
-            "functions": functions})
+    def _single(self, request: AnalysisRequest, kind: str) -> AnalysisResult:
+        """Run one request of ``kind``, raising its exception (parse
+        errors and the like) instead of capturing it."""
+        if not isinstance(request, AnalysisRequest):
+            raise TypeError(
+                f"ClouSession.{kind}() takes an AnalysisRequest, got "
+                f"{type(request).__name__}; build one with "
+                f"AnalysisRequest.{kind}(...)")
+        if request.kind != kind:
+            raise AnalysisError(
+                f"ClouSession.{kind}() got a {request.kind!r} request")
         [result] = self.run([request])
         if result.exception is not None:
             raise result.exception
-        return result.report
+        return result
 
-    def repair(self, request, *, engine=_UNSET, name=_UNSET, config=_UNSET,
-               strategy=_UNSET, functions=_UNSET) -> list[RepairResult]:
-        request = self._coerce(request, "repair", {
-            "engine": engine, "name": name, "config": config,
-            "strategy": strategy, "functions": functions})
-        [result] = self.run([request])
-        if result.exception is not None:
-            raise result.exception
-        return result.repairs
+    def analyze(self, request: AnalysisRequest) -> ModuleReport:
+        """Analyze one ``analyze`` request (source text or
+        :meth:`AnalysisRequest.for_module`) and return its
+        :class:`ModuleReport`; raises on parse errors."""
+        return self._single(request, "analyze").report
 
-    def lint(self, request, *, name=_UNSET, secrets=_UNSET,
-             public=_UNSET) -> LintReport:
-        request = self._coerce(request, "lint", {
-            "name": name, "secrets": secrets, "public": public})
-        [result] = self.run([request])
-        if result.exception is not None:
-            raise result.exception
+    def repair(self, request: AnalysisRequest) -> list[RepairResult]:
+        """Fence-repair one ``repair`` request; raises on parse errors."""
+        return self._single(request, "repair").repairs
+
+    def lint(self, request: AnalysisRequest) -> LintReport:
+        """Lint one ``lint`` request; raises on any request error."""
+        result = self._single(request, "lint")
         if result.error is not None:
             raise AnalysisError(result.error)
         return result.lint
-
-    def analyze_module(self, module, *, engine: str = "pht",
-                       config: ClouConfig | None = None,
-                       functions: tuple[str, ...] = ()) -> ModuleReport:
-        """Deprecated: analyze a pre-compiled :class:`repro.ir.Module`.
-        Build :meth:`AnalysisRequest.for_module` and call
-        :meth:`analyze` (or :meth:`run`) instead — module-backed
-        requests share the same ``run()`` code path, executing serial
-        and in-process (no cache: there is no source text to key on)."""
-        warnings.warn(
-            "ClouSession.analyze_module is deprecated; pass "
-            "AnalysisRequest.for_module(module, ...) to "
-            "ClouSession.analyze instead",
-            DeprecationWarning, stacklevel=2)
-        return self.analyze(AnalysisRequest.for_module(
-            module, engine=engine, functions=tuple(functions),
-            config=config))
 
     # -- request expansion -------------------------------------------------
 

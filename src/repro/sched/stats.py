@@ -126,8 +126,8 @@ class SessionStats:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SessionStats":
-        """Invert :meth:`to_dict` (the ``clou client --stats`` read
-        path: per-request stats cross the daemon's process boundary as
+        """Invert :meth:`to_dict` (the ``--stats`` read path of a
+        daemon run: per-request stats cross the daemon's process boundary as
         JSON).  Unknown keys are ignored for forward compatibility;
         ``cache_hit_rate`` is derived, never read; ``per_item`` comes
         back empty."""

@@ -95,7 +95,7 @@ def analyze_item(source: str, name: str, function: str, engine: str,
                  config: ClouConfig, *, resume: dict | None = None,
                  checkpoint=None) -> FunctionReport:
     """One (function, engine) detection run; errors become report
-    fields, mirroring the historical ``analyze_function`` contract.
+    fields, never exceptions.
     ``resume``/``checkpoint`` thread the scheduler's partial-progress
     protocol into :meth:`DetectionEngine.run`."""
     if engine not in ENGINES:

@@ -17,7 +17,7 @@ Public surface:
   back to in-process" from "degraded, exit 3"), with failover,
   seeded retry/backoff, and deadline stamping;
 - :mod:`repro.serve.protocol` — the envelope codec
-  (:data:`PROTOCOL_VERSION`, bidirectionally compatible with v1).
+  (:data:`PROTOCOL_VERSION`; other versions are rejected).
 """
 
 from repro.serve.client import ClouClient, DaemonBusy, DaemonUnreachable, \

@@ -24,7 +24,9 @@ Failure taxonomy, because the CLI maps each differently:
   code.
 - :class:`AnalysisError` — the daemon processed the request and it
   failed (parse error, unknown engine, ...): same exception the local
-  path would raise.
+  path would raise.  A reply the client cannot parse — garbage, or an
+  envelope at another protocol version — is an ``AnalysisError`` too
+  (``bad daemon response``), raised without a re-send.
 
 Fleet behavior (all deterministic under a pinned ``seed``):
 
@@ -36,11 +38,8 @@ Fleet behavior (all deterministic under a pinned ``seed``):
   ``retries`` extra attempts with seeded-jitter exponential backoff,
   never sleeping past the caller's deadline.
 - **deadlines** — a wall-clock deadline is stamped on each envelope
-  (protocol v2) *and* bounds the local socket timeouts, so a stalled
-  daemon surfaces as :class:`DeadlineExceeded` on time.
-- **version downgrade** — against a v1 daemon (which answers a v2
-  envelope with an ``unsupported protocol`` error) the client drops to
-  v1 for the rest of the connection, omitting the v2-only fields.
+  *and* bounds the local socket timeouts, so a stalled daemon surfaces
+  as :class:`DeadlineExceeded` on time.
 - ``ping``/``status`` transparently reconnect once when a previously
   healthy connection turns out stale (daemon restarted); they are
   read-only, so the replay is safe.
@@ -121,7 +120,6 @@ class ClouClient:
         self.backoff = backoff
         self.seed = seed
         self._cursor = 0                  # current failover index
-        self._proto = protocol.PROTOCOL_VERSION
         self._sock: socket.socket | None = None
         self._lines = None
         self._next_id = 0
@@ -285,25 +283,11 @@ class ClouClient:
         self.connect()
         envelope = protocol.make_request(
             op, id=self._id(), priority=priority, request=request,
-            deadline=deadline, tenant=self.tenant, version=self._proto)
+            deadline=deadline, tenant=self.tenant)
         response = self._roundtrip(envelope, deadline)
         if not response.get("ok"):
             message = response.get("error") or "daemon error"
             code = response.get("code")
-            if self._proto > 1 and "unsupported protocol" in message:
-                # A v1 daemon cannot parse our envelope.  Downgrade the
-                # connection and re-send without the v2-only fields;
-                # the daemon-side deadline/budget machinery does not
-                # exist there, so dropping the fields loses nothing.
-                self._proto = 1
-                envelope = protocol.make_request(
-                    op, id=self._id(), priority=priority, request=request,
-                    version=1)
-                response = self._roundtrip(envelope, deadline)
-                if response.get("ok"):
-                    return response
-                message = response.get("error") or "daemon error"
-                code = response.get("code")
             if code == "deadline_exceeded":
                 raise DeadlineExceeded(message)
             if response.get("busy"):

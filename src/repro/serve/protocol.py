@@ -2,28 +2,19 @@
 
 One connection carries a sequence of *requests* (client → server) and
 *responses* (server → client), one JSON object per line, UTF-8, no
-framing beyond the newline.  Both directions are versioned with a
-``"v"`` field; a peer speaking an unknown version gets a structured
-error back, never a silent misparse.
+framing beyond the newline.  Both directions carry ``"v":``
+:data:`PROTOCOL_VERSION`; a line at any other version — including the
+retired v1 — is a structured ``unsupported protocol`` error, never a
+silent misparse.
 
-Version history
----------------
-- **v1** (PR 7): ops ``analyze``/``status``/``ping``/``shutdown``,
-  client-chosen echoed ``id``, integer ``priority``, ``busy`` load-shed
-  rejections.
-- **v2** (this build, :data:`PROTOCOL_VERSION`): adds an optional
-  wall-clock ``deadline`` (Unix epoch seconds — the server drops work
-  whose deadline has passed and threads the remaining budget into the
-  solver), an optional ``tenant`` string (per-tenant admission
-  control), and a machine-readable ``code`` on error responses
-  (``"busy"``, ``"deadline_exceeded"``, ``"tenant_budget"``,
-  ``"oversized"``, ``"protocol"``, ``"shutdown"``).
-
-Compatibility is bidirectional: a v2 server accepts v1 envelopes
-(:data:`SUPPORTED_VERSIONS`) and answers each envelope *at the version
-it arrived in*, so a v1 client never sees a v2 reply; a v2 client that
-receives an ``unsupported protocol`` error from a v1 daemon downgrades
-the connection and re-sends at v1 (dropping the v2-only fields).
+The envelope offers ops ``analyze``/``status``/``ping``/``shutdown``,
+a client-chosen echoed ``id``, an integer ``priority``, an optional
+wall-clock ``deadline`` (Unix epoch seconds — the server drops work
+whose deadline has passed and threads the remaining budget into the
+search), an optional ``tenant`` string (per-tenant admission
+control), and a machine-readable ``code`` on error responses
+(``"busy"``, ``"deadline_exceeded"``, ``"tenant_budget"``,
+``"oversized"``, ``"protocol"``, ``"shutdown"``).
 
 Request envelope::
 
@@ -35,7 +26,7 @@ Request envelope::
 echoed verbatim in the response so a pipelined client can match
 replies; ``priority`` orders queued ``analyze`` ops (lower runs first,
 ties FIFO).  ``status``/``ping``/``shutdown`` take no ``request``.
-``deadline``/``tenant`` are optional on every op and absent at v1.
+``deadline``/``tenant`` are optional on every op.
 
 Response envelope::
 
@@ -47,8 +38,7 @@ status dict for ``status``/``ping``, and ``null`` for ``shutdown``.
 ``busy: true`` marks a load-shed rejection (``--max-inflight`` full or
 the tenant's token bucket empty); the client maps it to the CLI's
 degraded-coverage exit code rather than treating it as a failure.
-Error responses may carry ``code`` (v2); clients that predate it key
-off ``busy`` exactly as before.
+Error responses carry ``code`` when the failure has a name.
 
 Envelope lines are bounded by :data:`MAX_LINE_BYTES`
 (:func:`read_wire_line`): an oversized line is a structured
@@ -72,7 +62,6 @@ __all__ = [
     "PROTOCOL_VERSION",
     "ParsedRequest",
     "ProtocolError",
-    "SUPPORTED_VERSIONS",
     "decode_line",
     "encode",
     "error_response",
@@ -84,10 +73,6 @@ __all__ = [
 ]
 
 PROTOCOL_VERSION = 2
-
-#: Envelope versions this build parses.  Responses are emitted at the
-#: version the request arrived in, so old clients keep working.
-SUPPORTED_VERSIONS = (1, 2)
 
 #: The operations a server understands.
 OPS = ("analyze", "status", "ping", "shutdown")
@@ -160,7 +145,7 @@ def decode_line(line: bytes | str) -> dict:
         raise ProtocolError(
             f"expected a JSON object, got {type(envelope).__name__}")
     version = envelope.get("v")
-    if version not in SUPPORTED_VERSIONS:
+    if version != PROTOCOL_VERSION:
         raise ProtocolError(
             f"unsupported protocol v{version!r} "
             f"(this build speaks v{PROTOCOL_VERSION})")
@@ -170,27 +155,19 @@ def decode_line(line: bytes | str) -> dict:
 def make_request(op: str, *, id: object = None, priority: int = 0,
                  request: dict | None = None,
                  deadline: float | None = None,
-                 tenant: str | None = None,
-                 version: int = PROTOCOL_VERSION) -> dict:
+                 tenant: str | None = None) -> dict:
     """Build a client → server envelope (validated).
 
     ``deadline`` is a wall-clock Unix timestamp (``time.time()``
-    domain); ``tenant`` names the admission-control bucket.  Both are
-    v2 fields: when ``version`` is 1 (the downgrade path against an
-    old daemon) they are silently omitted — an old daemon has no
-    deadline or budget machinery to honor them anyway.
+    domain); ``tenant`` names the admission-control bucket.
     """
     if op not in OPS:
         raise ProtocolError(f"unknown op {op!r}; choose from {OPS}")
-    if version not in SUPPORTED_VERSIONS:
-        raise ProtocolError(f"cannot build a v{version!r} envelope; "
-                            f"this build speaks {SUPPORTED_VERSIONS}")
-    envelope = {"v": version, "op": op, "id": id}
-    if version >= 2:
-        if deadline is not None:
-            envelope["deadline"] = float(deadline)
-        if tenant is not None:
-            envelope["tenant"] = str(tenant)
+    envelope = {"v": PROTOCOL_VERSION, "op": op, "id": id}
+    if deadline is not None:
+        envelope["deadline"] = float(deadline)
+    if tenant is not None:
+        envelope["tenant"] = str(tenant)
     if op == "analyze":
         if request is None:
             raise ProtocolError("analyze needs a request payload")
@@ -201,9 +178,8 @@ def make_request(op: str, *, id: object = None, priority: int = 0,
 
 @dataclass(frozen=True)
 class ParsedRequest:
-    """A validated client envelope.  v1 envelopes parse with
-    ``deadline=None`` / ``tenant=None`` — absent fields degrade to the
-    unbounded / default-tenant behavior, never to an error."""
+    """A validated client envelope.  Absent ``deadline`` / ``tenant``
+    parse as ``None``: the unbounded / default-tenant behavior."""
 
     op: str
     id: object
@@ -211,7 +187,6 @@ class ParsedRequest:
     payload: dict | None
     deadline: float | None = None
     tenant: str | None = None
-    version: int = PROTOCOL_VERSION
 
 
 def parse_request(envelope: dict) -> ParsedRequest:
@@ -236,30 +211,24 @@ def parse_request(envelope: dict) -> ParsedRequest:
     if tenant is not None and not isinstance(tenant, str):
         raise ProtocolError(f"tenant must be a string, got {tenant!r}")
     return ParsedRequest(op=op, id=envelope.get("id"), priority=priority,
-                         payload=request, deadline=deadline, tenant=tenant,
-                         version=envelope.get("v", PROTOCOL_VERSION))
+                         payload=request, deadline=deadline, tenant=tenant)
 
 
 def make_response(id: object, *, result: object = None,
                   error: str | None = None, busy: bool = False,
-                  code: str | None = None,
-                  version: int = PROTOCOL_VERSION) -> dict:
-    """Build a server → client envelope at ``version`` — the version
-    the request arrived in, so a v1 client is never handed a v2 line
-    its ``decode_line`` would reject.  ``code`` (v2) machine-names the
-    error; v1 clients key off ``busy`` exactly as before."""
-    envelope = {"v": version, "id": id, "ok": error is None,
+                  code: str | None = None) -> dict:
+    """Build a server → client envelope.  ``code`` machine-names the
+    error; ``busy`` marks a load-shed rejection."""
+    envelope = {"v": PROTOCOL_VERSION, "id": id, "ok": error is None,
                 "result": result, "error": error, "busy": busy}
-    if code is not None and version >= 2:
+    if code is not None:
         envelope["code"] = code
     return envelope
 
 
 def error_response(id: object, message: str, *, busy: bool = False,
-                   code: str | None = None,
-                   version: int = PROTOCOL_VERSION) -> dict:
-    return make_response(id, error=message, busy=busy, code=code,
-                         version=version)
+                   code: str | None = None) -> dict:
+    return make_response(id, error=message, busy=busy, code=code)
 
 
 def parse_response(envelope: dict) -> dict:

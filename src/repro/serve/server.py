@@ -27,7 +27,7 @@ are rejected immediately with ``busy: true`` instead of queuing
 unboundedly; the client maps that to the CLI's degraded-coverage exit
 code (the PR 5 contract: overload is incompleteness, not failure).
 
-Fleet robustness (protocol v2):
+Fleet robustness:
 
 - **deadlines** — an envelope may carry a wall-clock ``deadline``;
   a queued op whose deadline passes before dispatch is dropped with a
@@ -52,9 +52,6 @@ Fleet robustness (protocol v2):
   dropped, stalled, garbled, and torn-connection behavior
   deterministically.  All serve-site actions are scoped to one
   connection or message; the daemon process always survives.
-
-Responses are emitted at the version the request arrived in, so v1
-clients keep working against this server unmodified.
 
 ``shutdown`` (op or :meth:`shutdown` call, e.g. from a SIGTERM
 handler) stops accepting, fails queued work with a structured error,
@@ -89,6 +86,18 @@ def _garble(data: bytes) -> bytes:
     if data.endswith(b"\n"):
         return bytes(b ^ 0xA5 for b in data[:-1]) + b"\n"
     return bytes(b ^ 0xA5 for b in data)
+
+
+def _hang_up(sock: socket.socket) -> None:
+    """Shut a socket down, then close it; idempotent, best-effort."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        sock.close()
+    except OSError:
+        pass
 
 
 class _TokenBucket:
@@ -144,14 +153,7 @@ class _Writer:
     def close(self) -> None:
         """Tear the connection down abruptly (the ``crash`` fault and
         dispatcher-side cleanup).  Idempotent, best-effort."""
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        _hang_up(self._sock)
 
 
 class ClouServer:
@@ -195,7 +197,7 @@ class ClouServer:
         self._stop = threading.Event()
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)
-        # (priority, seq, writer, id, payload, deadline, version)
+        # (priority, seq, writer, id, payload, deadline)
         self._queue: list = []
         self._seq = itertools.count()
         self._running = 0                 # analyze ops inside session.run
@@ -235,17 +237,15 @@ class ClouServer:
         self._stop.set()
         listener, self._listener = self._listener, None
         if listener is not None:
-            try:
-                listener.close()
-            except OSError:
-                pass
+            # close() alone does not wake a thread blocked in accept()
+            # on Linux; shutdown() first makes that accept() fail at once.
+            _hang_up(listener)
         with self._work:
             pending, self._queue = self._queue, []
             self._work.notify_all()
-        for _, _, writer, id, _, _, version in pending:
+        for _, _, writer, id, _, _ in pending:
             writer.send(protocol.error_response(
-                id, "server shutting down", code="shutdown",
-                version=version))
+                id, "server shutting down", code="shutdown"))
         if self.socket_path and os.path.exists(self.socket_path):
             try:
                 os.unlink(self.socket_path)
@@ -321,7 +321,7 @@ class ClouServer:
                         # The stream has no recoverable line boundary
                         # left: structured error, then hang up.
                         writer.send(protocol.error_response(
-                            None, str(error), code="oversized", version=1))
+                            None, str(error), code="oversized"))
                         return
                     if line is None:
                         return  # EOF
@@ -346,20 +346,15 @@ class ClouServer:
         try:
             req = protocol.parse_request(protocol.decode_line(line))
         except ProtocolError as error:
-            # Parse failures answer at v1: whatever the peer speaks,
-            # it understands the lowest common envelope.
             writer.send(protocol.error_response(
-                None, str(error), code="protocol", version=1))
+                None, str(error), code="protocol"))
             return True
         if req.op == "ping":
-            writer.send(protocol.make_response(
-                req.id, result=self._pong(), version=req.version))
+            writer.send(protocol.make_response(req.id, result=self._pong()))
         elif req.op == "status":
-            writer.send(protocol.make_response(
-                req.id, result=self.status(), version=req.version))
+            writer.send(protocol.make_response(req.id, result=self.status()))
         elif req.op == "shutdown":
-            writer.send(protocol.make_response(
-                req.id, result=None, version=req.version))
+            writer.send(protocol.make_response(req.id, result=None))
             self.shutdown()
             return False
         elif req.op == "analyze":
@@ -388,8 +383,7 @@ class ClouServer:
         with self._work:
             if self._stop.is_set():
                 writer.send(protocol.error_response(
-                    req.id, "server shutting down", code="shutdown",
-                    version=req.version))
+                    req.id, "server shutting down", code="shutdown"))
                 return
             if req.deadline is not None and time.time() >= req.deadline:
                 # Doomed on arrival: reject instead of queueing work
@@ -397,11 +391,10 @@ class ClouServer:
                 self._deadline_dropped += 1
                 writer.send(protocol.error_response(
                     req.id, "deadline exceeded before the request was "
-                    "queued", code="deadline_exceeded",
-                    version=req.version))
+                    "queued", code="deadline_exceeded"))
                 return
             if not self._tenant_admits(tenant):
-                # busy=true so pre-v2 clients degrade exactly like a
+                # busy=true: clients degrade exactly as on a
                 # max-inflight rejection (incomplete, not failed).
                 self._rejected += 1
                 self._count_tenant(tenant, "rejected")
@@ -409,7 +402,7 @@ class ClouServer:
                     req.id,
                     f"tenant {tenant!r} admission budget exhausted "
                     f"(--tenant-budget {self.tenant_budget:g}/s)",
-                    busy=True, code="tenant_budget", version=req.version))
+                    busy=True, code="tenant_budget"))
                 return
             inflight = len(self._queue) + self._running
             if self.max_inflight is not None \
@@ -420,12 +413,12 @@ class ClouServer:
                     req.id,
                     f"server busy: {inflight} request(s) inflight "
                     f"(--max-inflight {self.max_inflight})",
-                    busy=True, code="busy", version=req.version))
+                    busy=True, code="busy"))
                 return
             self._count_tenant(tenant, "admitted")
             heapq.heappush(self._queue, (req.priority, next(self._seq),
                                          writer, req.id, req.payload,
-                                         req.deadline, req.version))
+                                         req.deadline))
             self._work.notify()
 
     def _dispatch_loop(self) -> None:
@@ -436,7 +429,7 @@ class ClouServer:
                 if self._stop.is_set():
                     return
                 (_, _, writer, id, payload,
-                 deadline, version) = heapq.heappop(self._queue)
+                 deadline) = heapq.heappop(self._queue)
                 self._running += 1
             action = fault_point("serve.dispatch")
             if action in ("drop", "crash"):
@@ -454,9 +447,9 @@ class ClouServer:
                     self._deadline_dropped += 1
                 writer.send(protocol.error_response(
                     id, "deadline exceeded while queued",
-                    code="deadline_exceeded", version=version))
+                    code="deadline_exceeded"))
                 continue
-            response = self._analyze(id, payload, deadline, version)
+            response = self._analyze(id, payload, deadline)
             # Count before replying: a client that sends `status` right
             # after its analyze reply must see itself served.
             with self._work:
@@ -465,7 +458,7 @@ class ClouServer:
             writer.send(response)
 
     def _analyze(self, id: object, payload: dict,
-                 deadline: float | None, version: int) -> dict:
+                 deadline: float | None) -> dict:
         # Total: a bad payload or a session bug must never kill the
         # dispatcher thread, only this one request.
         try:
@@ -474,10 +467,9 @@ class ClouServer:
                 [result] = self.session.run([request], deadline=deadline)
             else:
                 [result] = self.session.run([request])
-            return protocol.make_response(id, result=result.to_dict(),
-                                          version=version)
+            return protocol.make_response(id, result=result.to_dict())
         except Exception as error:
-            return protocol.error_response(id, str(error), version=version)
+            return protocol.error_response(id, str(error))
 
     # -- introspection -----------------------------------------------------
 

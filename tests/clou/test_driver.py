@@ -1,12 +1,11 @@
-"""Driver-level behaviour: error handling, multi-function modules,
-engine dispatch — now exercised through the deprecated free-function
-shims, which must keep working (with a :class:`DeprecationWarning`)
-and agree with the :class:`ClouSession` API they forward to."""
+"""Pipeline-level behaviour through :class:`ClouSession`: error
+handling, multi-function modules, engine dispatch, and the request-only
+signatures of the single-request calls."""
 
 import pytest
 
-from repro.clou import ClouConfig, analyze_function, analyze_module, analyze_source
-from repro.errors import ParseError
+from repro.clou import ClouConfig, build_acfg, repair
+from repro.errors import AnalysisError, ParseError
 from repro.minic import compile_c
 from repro.sched import AnalysisRequest, ClouSession
 
@@ -28,101 +27,96 @@ void clean(uint64_t y) {
 """
 
 
+def _session() -> ClouSession:
+    return ClouSession(jobs=1, cache=False)
+
+
 class TestDriver:
     def test_each_public_function_analyzed(self):
-        with pytest.deprecated_call():
-            report = analyze_source(MULTI, engine="pht", name="multi")
+        report = _session().analyze(
+            AnalysisRequest.analyze(MULTI, engine="pht", name="multi"))
         names = {f.function for f in report.functions}
         assert names == {"leaky", "clean"}  # helper is static (private)
 
     def test_per_function_verdicts(self):
-        with pytest.deprecated_call():
-            report = analyze_source(MULTI, engine="pht", name="multi")
+        report = _session().analyze(
+            AnalysisRequest.analyze(MULTI, engine="pht", name="multi"))
         by_name = {f.function: f for f in report.functions}
         assert by_name["leaky"].leaky
         assert not by_name["clean"].leaky
 
     def test_parse_errors_propagate(self):
-        with pytest.deprecated_call(), pytest.raises(ParseError):
-            analyze_source("void f( {", engine="pht")
+        with pytest.raises(ParseError):
+            _session().analyze(
+                AnalysisRequest.analyze("void f( {", engine="pht"))
 
     def test_analysis_error_captured_per_function(self):
         # Unknown function: surfaced as a report error, not an exception.
-        module = compile_c(MULTI)
-        with pytest.deprecated_call():
-            report = analyze_function(module, "nonexistent", engine="pht")
-        assert report.error
+        report = _session().analyze(AnalysisRequest.for_module(
+            compile_c(MULTI), engine="pht", functions=("nonexistent",)))
+        [function_report] = report.functions
+        assert function_report.error
 
     def test_module_report_aggregation(self):
-        module = compile_c(MULTI)
-        with pytest.deprecated_call():
-            report = analyze_module(module, engine="pht")
+        report = _session().analyze(
+            AnalysisRequest.for_module(compile_c(MULTI), engine="pht"))
         assert report.leaky
         assert report.elapsed >= 0
         assert "functions" in report.summary()
 
     def test_config_threading(self):
         config = ClouConfig(classes=("udt",), rob_size=100)
-        with pytest.deprecated_call():
-            report = analyze_source(MULTI, engine="pht", config=config)
+        report = _session().analyze(
+            AnalysisRequest.analyze(MULTI, engine="pht", config=config))
         from repro.lcm.taxonomy import TransmitterClass as TC
 
         assert report.total(TC.CONTROL) == 0  # CT search disabled
 
     def test_empty_module(self):
-        with pytest.deprecated_call():
-            report = analyze_module(compile_c("uint8_t g;"), engine="pht")
+        report = _session().analyze(AnalysisRequest.for_module(
+            compile_c("uint8_t g;"), engine="pht"))
         assert not report.functions
         assert not report.leaky
 
 
-class TestShimSessionAgreement:
-    def test_shim_matches_session(self):
-        """The deprecated path and the session path must produce
-        byte-identical stable JSON."""
-        from repro.clou.serialize import to_json
+class TestRequestOnlySignatures:
+    """The single-request calls take an :class:`AnalysisRequest` and
+    nothing else."""
 
-        with pytest.deprecated_call():
-            via_shim = analyze_source(MULTI, engine="pht", name="multi")
-        session = ClouSession(jobs=1, cache=False)
-        via_session = session.analyze(AnalysisRequest.analyze(MULTI, engine="pht", name="multi"))
-        assert to_json(via_shim, stable=True) == \
-            to_json(via_session, stable=True)
+    @pytest.mark.parametrize("kind", ["analyze", "repair", "lint"])
+    def test_source_text_is_a_type_error(self, kind):
+        with pytest.raises(TypeError, match=f"AnalysisRequest.{kind}"):
+            getattr(_session(), kind)(MULTI)
 
-    def test_shim_warning_names_the_replacement(self):
-        with pytest.warns(DeprecationWarning, match="ClouSession"):
-            analyze_source(MULTI, engine="pht")
+    def test_keywords_are_a_type_error(self):
+        with pytest.raises(TypeError):
+            _session().analyze(AnalysisRequest.analyze(MULTI),
+                               engine="stl")
+
+    def test_wrong_kind_is_an_analysis_error(self):
+        with pytest.raises(AnalysisError, match="got a 'lint' request"):
+            _session().analyze(AnalysisRequest.lint(MULTI))
 
 
-class TestRepairShims:
-    """The deprecated repair free functions: still working, still
-    warning, and in agreement with ``ClouSession.repair``."""
-
-    def test_repair_source_warns(self):
-        from repro.clou.driver import repair_source
-
-        with pytest.warns(DeprecationWarning, match="ClouSession"):
-            results = repair_source(MULTI, engine="pht", name="multi")
+class TestRepair:
+    def test_repair_covers_public_functions(self):
+        results = _session().repair(
+            AnalysisRequest.repair(MULTI, engine="pht", name="multi"))
         assert {r.function for r in results} == {"leaky", "clean"}
+        assert all(r.fully_repaired for r in results)
 
-    def test_repair_source_matches_session(self):
-        from repro.clou.driver import repair_source
-
-        with pytest.deprecated_call():
-            via_shim = repair_source(MULTI, engine="pht", name="multi")
-        session = ClouSession(jobs=1, cache=False)
-        via_session = session.repair(AnalysisRequest.repair(MULTI, engine="pht", name="multi"))
-        assert [(r.function, r.fences, r.fully_repaired)
-                for r in via_shim] == \
-            [(r.function, r.fences, r.fully_repaired)
-             for r in via_session]
-
-    def test_repair_function_warns_and_repairs(self):
-        from repro.clou.driver import repair_function
-
-        module = compile_c(MULTI)
-        with pytest.warns(DeprecationWarning, match="ClouSession"):
-            result = repair_function(module, "leaky", engine="pht")
+    def test_repair_one_function(self):
+        # One function of a compiled module: repair its A-CFG directly.
+        acfg = build_acfg(compile_c(MULTI), "leaky")
+        result = repair(acfg.function, "pht", ClouConfig())
         assert result.function == "leaky"
         assert result.fences          # the v1 gadget needs a fence
         assert result.fully_repaired
+
+    def test_one_function_repair_matches_session(self):
+        acfg = build_acfg(compile_c(MULTI), "leaky")
+        direct = repair(acfg.function, "pht", ClouConfig())
+        [via_session] = _session().repair(AnalysisRequest.repair(
+            MULTI, engine="pht", functions=("leaky",)))
+        assert (direct.fences, direct.fully_repaired) == \
+            (via_session.fences, via_session.fully_repaired)

@@ -10,9 +10,16 @@ examples from the test function itself (``derandomize=True``), making
 
 Set ``HYPOTHESIS_PROFILE=random`` locally to restore randomized
 exploration when hunting for new counterexamples.
+
+The daemon address variables are cleared for every test: ``clou
+analyze|lint|repair`` send their requests to a daemon whenever one is
+configured, so an address in the caller's environment would reroute
+the in-process CLI tests.
 """
 
 import os
+
+import pytest
 
 try:
     from hypothesis import settings
@@ -25,3 +32,11 @@ if settings is not None:
     settings.register_profile("random", deadline=None)
     settings.load_profile(
         os.environ.get("HYPOTHESIS_PROFILE", "deterministic"))
+
+
+@pytest.fixture(autouse=True)
+def _no_ambient_daemon(monkeypatch):
+    from repro.sched.env import SOCKET_ENV, SOCKETS_ENV
+
+    monkeypatch.delenv(SOCKET_ENV, raising=False)
+    monkeypatch.delenv(SOCKETS_ENV, raising=False)

@@ -60,7 +60,6 @@ class TestRequests:
         assert (req.op, req.id, req.priority, req.payload) == \
             ("analyze", "req-7", 2, {"k": 1})
         assert req.deadline is None and req.tenant is None
-        assert req.version == PROTOCOL_VERSION
 
     def test_parse_v2_fields(self):
         envelope = make_request("analyze", id=1, request={"k": 1},
@@ -69,13 +68,12 @@ class TestRequests:
         assert req.deadline == 1700000123.5
         assert req.tenant == "ci"
 
-    def test_v1_envelopes_omit_v2_fields(self):
-        envelope = make_request("analyze", id=1, request={"k": 1},
-                                deadline=1.0, tenant="ci", version=1)
-        assert "deadline" not in envelope and "tenant" not in envelope
-        req = parse_request(envelope)
-        assert req.deadline is None and req.tenant is None
-        assert req.version == 1
+    def test_v1_envelopes_are_rejected(self):
+        with pytest.raises(ProtocolError, match="unsupported protocol v1"):
+            decode_line(b'{"v": 1, "op": "ping", "id": 1}\n')
+        with pytest.raises(TypeError):
+            make_request("ping", id=1, version=1)
+        assert make_request("ping", id=1)["v"] == PROTOCOL_VERSION == 2
 
     def test_bad_deadline_and_tenant(self):
         base = make_request("ping", id=1)
@@ -113,9 +111,10 @@ class TestResponses:
 
     def test_error_code_is_v2_only(self):
         v2 = error_response(4, "late", code="deadline_exceeded")
-        assert v2["code"] == "deadline_exceeded"
-        v1 = error_response(4, "late", code="deadline_exceeded", version=1)
-        assert "code" not in v1 and v1["v"] == 1
+        assert v2["code"] == "deadline_exceeded" and v2["v"] == 2
+        assert "code" not in error_response(4, "boom")
+        with pytest.raises(TypeError):
+            error_response(4, "late", code="deadline_exceeded", version=1)
 
 
 class TestBoundedLines:

@@ -1,6 +1,6 @@
 """Fleet-grade daemon robustness: deadlines, retry/backoff failover,
-per-tenant admission control, protocol failure modes, and version
-compatibility in both directions.
+per-tenant admission control, and protocol failure modes, including
+peers that speak another protocol version.
 
 Scripted fake daemons (:class:`_FakeDaemon`) exercise the *client's*
 handling of broken peers; raw sockets against a live :class:`ClouServer`
@@ -121,19 +121,40 @@ def _reply(conn, envelope):
 # ----------------------------------------------------------------------
 
 class TestServerFailureModes:
-    def test_wrong_version_envelope_gets_v1_error(self, served):
+    def test_wrong_version_envelope_gets_structured_error(self, served):
         with _raw(served) as sock, sock.makefile("rb") as lines:
             sock.sendall(b'{"v": 99, "op": "ping", "id": 1}\n')
             reply = protocol.decode_line(lines.readline())
         assert not reply["ok"]
         assert "unsupported protocol" in reply["error"]
-        assert reply["v"] == 1      # lowest common envelope
+        assert reply["v"] == protocol.PROTOCOL_VERSION
+        assert reply["code"] == "protocol"
+
+    def test_v1_envelope_gets_unsupported_protocol(self, served):
+        request = AnalysisRequest.analyze("int x;").to_dict()
+        with _raw(served) as sock, sock.makefile("rb") as lines:
+            for envelope in ({"v": 1, "op": "ping", "id": 1},
+                             {"v": 1, "op": "analyze", "id": 2,
+                              "priority": 0, "request": request}):
+                sock.sendall(protocol.encode(envelope))
+                reply = protocol.decode_line(lines.readline())
+                assert not reply["ok"]
+                assert "unsupported protocol v1" in reply["error"]
+                assert reply["code"] == "protocol"
+        assert served.session.calls == []      # nothing was analyzed
 
     def test_garbage_bytes_get_structured_error(self, served):
         with _raw(served) as sock, sock.makefile("rb") as lines:
             sock.sendall(b"\xff\xfe\x00 utter garbage\n")
             reply = protocol.decode_line(lines.readline())
-        assert not reply["ok"]
+            assert not reply["ok"]
+            assert reply["code"] == "protocol"
+            # The connection survives the bad line and keeps serving.
+            sock.sendall(protocol.encode(
+                protocol.make_request("ping", id=2)))
+            pong = protocol.decode_line(lines.readline())
+        assert pong["ok"] and pong["id"] == 2
+        assert pong["v"] == protocol.PROTOCOL_VERSION
 
     def test_oversized_line_drops_the_connection(self, served):
         with _raw(served) as sock, sock.makefile("rb") as lines:
@@ -141,6 +162,7 @@ class TestServerFailureModes:
             reply = protocol.decode_line(lines.readline())
             assert not reply["ok"]
             assert "exceeds" in reply["error"]
+            assert reply["code"] == "oversized"
             assert lines.readline() == b""   # connection dropped
         # ... but the daemon itself survives to serve others.
         with ClouClient(socket_path=served.socket_path) as client:
@@ -152,19 +174,6 @@ class TestServerFailureModes:
         sock.close()
         with ClouClient(socket_path=served.socket_path) as client:
             assert client.ping()["protocol"] == protocol.PROTOCOL_VERSION
-
-    def test_v1_client_gets_v1_responses(self, served):
-        request = AnalysisRequest.analyze("int x;").to_dict()
-        with _raw(served) as sock, sock.makefile("rb") as lines:
-            sock.sendall(protocol.encode(protocol.make_request(
-                "ping", id=1, version=1)))
-            pong = protocol.decode_line(lines.readline())
-            sock.sendall(protocol.encode(protocol.make_request(
-                "analyze", id=2, request=request, version=1)))
-            result = protocol.decode_line(lines.readline())
-        assert pong["v"] == 1 and pong["ok"]
-        assert result["v"] == 1 and result["ok"]
-        assert "code" not in pong and "code" not in result
 
 
 # ----------------------------------------------------------------------
@@ -196,6 +205,33 @@ class TestClientFailureModes:
                 ClouClient(socket_path=fake.path).ping()
         finally:
             fake.close()
+
+    def test_v1_only_daemon_is_analysis_error_after_one_send(self,
+                                                             tmp_path):
+        # A v1-only daemon rejects our envelope with a v1 error line,
+        # which this client cannot parse either: no downgrade, no
+        # re-send.
+        received = []
+
+        def behavior(conn):
+            with conn.makefile("rb") as lines:
+                for line in lines:
+                    received.append(json.loads(line))
+                    _reply(conn, {
+                        "v": 1, "id": None, "ok": False, "result": None,
+                        "busy": False,
+                        "error": "unsupported protocol v2 (this build "
+                                 "speaks v1)"})
+
+        fake = _FakeDaemon(tmp_path, behavior)
+        try:
+            client = ClouClient(socket_path=fake.path, retries=2)
+            with pytest.raises(AnalysisError, match="bad daemon response"):
+                client.analyze(AnalysisRequest.analyze("int x;"))
+        finally:
+            fake.close()
+        assert len(received) == 1
+        assert received[0]["v"] == protocol.PROTOCOL_VERSION
 
     def test_close_without_reply_is_unreachable(self, tmp_path):
         def behavior(conn):
@@ -398,53 +434,6 @@ class TestTenantAdmission:
 
 
 # ----------------------------------------------------------------------
-# Version negotiation (v2 client against a v1 daemon)
-# ----------------------------------------------------------------------
-
-class TestVersionDowngrade:
-    def _v1_daemon(self, tmp_path, received):
-        def behavior(conn):
-            with conn.makefile("rb") as lines:
-                for line in lines:
-                    envelope = json.loads(line)
-                    received.append(envelope)
-                    if envelope.get("v") != 1:
-                        _reply(conn, {
-                            "v": 1, "id": None, "ok": False,
-                            "result": None, "busy": False,
-                            "error": "unsupported protocol v2 (this "
-                                     "build speaks v1)"})
-                    else:
-                        _reply(conn, {
-                            "v": 1, "id": envelope["id"], "ok": True,
-                            "result": {"protocol": 1, "pid": 99},
-                            "error": None, "busy": False})
-
-        return _FakeDaemon(tmp_path, behavior)
-
-    def test_client_downgrades_and_resends(self, tmp_path):
-        received = []
-        fake = self._v1_daemon(tmp_path, received)
-        try:
-            client = ClouClient(socket_path=fake.path, tenant="ci",
-                                deadline=time.time() + 30.0, retries=0)
-            with client:
-                pong = client.ping()
-                again = client.ping()
-        finally:
-            fake.close()
-        assert pong == {"protocol": 1, "pid": 99}
-        assert again == {"protocol": 1, "pid": 99}
-        # First try was v2 with the new fields; the re-send and every
-        # later envelope speak v1 without them.
-        assert received[0]["v"] == 2
-        assert "deadline" in received[0] and "tenant" in received[0]
-        assert all(envelope["v"] == 1 for envelope in received[1:])
-        assert all("deadline" not in envelope and "tenant" not in envelope
-                   for envelope in received[1:])
-
-
-# ----------------------------------------------------------------------
 # Shutdown semantics
 # ----------------------------------------------------------------------
 
@@ -575,7 +564,7 @@ class TestFailoverByteIdentity:
         server.start()
         try:
             code_remote = cli.main(
-                ["client", "analyze", str(path), "--json",
+                ["analyze", str(path), "--json",
                  "--socket", str(tmp_path / "dead.sock"),
                  "--socket", server.socket_path,
                  "--deadline", "60", "--tenant", "ci"])

@@ -272,6 +272,29 @@ class TestShutdown:
             ClouServer(ClouSession(jobs=1, cache=False),
                        socket_path=served.socket_path).start()
 
+    @pytest.mark.parametrize("transport", ["unix", "tcp"])
+    def test_serve_forever_returns_promptly(self, tmp_path, transport):
+        # shutdown() must wake the accept() blocked in serve_forever's
+        # accept thread; closing the listener alone leaves it blocked
+        # until the join timeout.
+        import time
+
+        where = ({"socket_path": str(tmp_path / "clou.sock")}
+                 if transport == "unix" else {"port": 0})
+        server = ClouServer(ClouSession(jobs=1, cache=False), **where)
+        server.start()
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        client = (ClouClient(socket_path=server.socket_path)
+                  if transport == "unix" else ClouClient(port=server.port))
+        with client:
+            assert client.ping()["pid"]
+        started = time.monotonic()
+        server.shutdown()
+        thread.join(timeout=1.0)
+        assert not thread.is_alive()
+        assert time.monotonic() - started < 1.0
+
 
 class TestCLI:
     def _json_out(self, capsys, argv):
@@ -296,7 +319,7 @@ class TestCLI:
         server.start()
         try:
             code_daemon, remote = self._json_out(
-                capsys, ["client", "analyze", str(path), "--json",
+                capsys, ["analyze", str(path), "--json",
                          "--socket", server.socket_path])
         finally:
             server.shutdown()
@@ -314,7 +337,7 @@ class TestCLI:
         code_local, local = self._json_out(
             capsys, ["analyze", str(path), "--json", "--no-cache"])
         code_fallback, fallback = self._json_out(
-            capsys, ["client", "analyze", str(path), "--json", "--no-cache",
+            capsys, ["analyze", str(path), "--json", "--no-cache",
                      "--socket", str(tmp_path / "missing.sock")])
         assert fallback == local
         assert code_fallback == code_local == 1
@@ -331,7 +354,7 @@ class TestCLI:
         server.start()
         try:
             code_daemon, remote = self._json_out(
-                capsys, ["client", "lint", str(path), "--secrets", "A",
+                capsys, ["lint", str(path), "--secrets", "A",
                          "--json", "--no-cache",
                          "--socket", server.socket_path])
             served = server.status()["served"]
@@ -352,7 +375,7 @@ class TestCLI:
         code_local, local = self._json_out(
             capsys, ["lint", str(path), "--json", "--no-cache"])
         code_fallback, fallback = self._json_out(
-            capsys, ["client", "lint", str(path), "--json", "--no-cache",
+            capsys, ["lint", str(path), "--json", "--no-cache",
                      "--socket", str(tmp_path / "missing.sock")])
         assert fallback == local
         assert code_fallback == code_local == 0
@@ -366,7 +389,7 @@ class TestCLI:
         server.start()
         try:
             code, _ = self._json_out(
-                capsys, ["client", "lint", str(path), "--secrets", "A",
+                capsys, ["lint", str(path), "--secrets", "A",
                          "--fail-on-severity", "AT", "--no-cache",
                          "--socket", server.socket_path])
         finally:
@@ -384,7 +407,7 @@ class TestCLI:
         server.start()
         try:
             code_daemon, remote = self._json_out(
-                capsys, ["client", "repair", str(path), "--no-cache",
+                capsys, ["repair", str(path), "--no-cache",
                          "--socket", server.socket_path])
             served = server.status()["served"]
         finally:
@@ -404,7 +427,7 @@ class TestCLI:
         code_local, local = self._json_out(
             capsys, ["repair", str(path), "--no-cache"])
         code_fallback, fallback = self._json_out(
-            capsys, ["client", "repair", str(path), "--no-cache",
+            capsys, ["repair", str(path), "--no-cache",
                      "--socket", str(tmp_path / "missing.sock")])
         assert fallback == local
         assert code_fallback == code_local == 0
@@ -424,12 +447,50 @@ class TestCLI:
                 _raw_send(sock, "analyze", id=0, name="gate")
                 _wait_for(lambda: server.status()["running"] == 1)
                 code = __import__("repro.cli", fromlist=["main"]).main(
-                    ["client", "lint", str(path), "--socket",
+                    ["lint", str(path), "--socket",
                      server.socket_path])
                 session.gate.set()
         finally:
             server.shutdown()
         assert code == 3  # EXIT_INCOMPLETE: busy is not a fallback case
+
+    def test_local_run_never_builds_a_client(self, tmp_path, capsys,
+                                             monkeypatch):
+        import repro.serve
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ClouClient built with no daemon address")
+
+        monkeypatch.setattr(repro.serve, "ClouClient", refuse)
+        path = tmp_path / "two.c"
+        path.write_text(TWO_VICTIMS)
+        for argv, expected in ((["analyze", str(path), "--json"], 1),
+                               (["lint", str(path)], 0),
+                               (["repair", str(path)], 0)):
+            code, out = self._json_out(capsys, argv + ["--no-cache"])
+            assert code == expected and out
+
+    def test_env_socket_routes_to_the_daemon(self, tmp_path, capsys,
+                                             monkeypatch):
+        from repro.sched.env import SOCKET_ENV
+
+        path = tmp_path / "two.c"
+        path.write_text(TWO_VICTIMS)
+        code_local, local = self._json_out(
+            capsys, ["analyze", str(path), "--json", "--no-cache"])
+        server = ClouServer(ClouSession(jobs=1, cache=False),
+                            socket_path=str(tmp_path / "clou.sock"))
+        server.start()
+        monkeypatch.setenv(SOCKET_ENV, server.socket_path)
+        try:
+            code_daemon, remote = self._json_out(
+                capsys, ["analyze", str(path), "--json", "--no-cache"])
+            served = server.status()["served"]
+        finally:
+            server.shutdown()
+        assert remote == local
+        assert code_daemon == code_local == 1
+        assert served == 1
 
     def test_client_status_and_shutdown(self, tmp_path, capsys):
         server = ClouServer(ClouSession(jobs=1, cache=False),
