@@ -1,7 +1,7 @@
 # Convenience targets for the reproduction.
 
 .PHONY: install test test-all lint bench bench-sched bench-solver \
-	bench-smoke table2 fig8 repair gallery fuzz fuzz-smoke \
+	bench-smoke bench-saeg table2 fig8 repair gallery fuzz fuzz-smoke \
 	fuzz-contract-smoke contract-matrix fault-smoke fault-sweep \
 	chaos-smoke chaos-sweep engines-smoke serve-smoke bench-e2e-smoke \
 	coverage all
@@ -126,6 +126,12 @@ bench-sched:
 # writes BENCH_solver.json.
 bench-solver:
 	python benchmarks/bench_solver.py
+
+# S-AEG construction, per phase, against the original algorithms kept
+# in tests/clou/saeg_reference.py (donna, chacha20, synth_60); writes
+# BENCH_saeg.json and fails if the two builds differ.
+bench-saeg:
+	python benchmarks/bench_saeg_build.py
 
 # Fast CI check that subrosa's persistent solver and the fresh-solver
 # reference agree on a short require/forbid + enumeration stream.

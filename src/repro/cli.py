@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from repro.clou.engine import ENGINES, engine_names
 from repro.lcm.taxonomy import TransmitterClass
@@ -539,7 +540,12 @@ def _run_requests(args, requests: list[AnalysisRequest]):
                if _daemon_configured(args) else None)
     if results is None:
         session = _session_from_args(args)
-        results, stats = session.run(requests), session.stats
+        deadline = args.deadline_at
+        results = session.run(requests, deadline=deadline)
+        stats = session.stats
+        if deadline is not None and _unfinished_at(deadline, results, stats):
+            raise _Degraded("deadline exceeded before the in-process run "
+                            "completed")
     else:
         stats = SessionStats()
         for result in results:
@@ -555,6 +561,14 @@ def _run_requests(args, requests: list[AnalysisRequest]):
 
         raise AnalysisError(result.error)
     return results, stats
+
+
+def _unfinished_at(deadline: float, results, stats) -> bool:
+    """Has ``deadline`` passed with some item killed or some report
+    incomplete?"""
+    return time.time() >= deadline and (stats.timeouts > 0 or any(
+        not result.report.complete
+        for result in results if result.report is not None))
 
 
 def _daemon_results(args, requests: list[AnalysisRequest]):
@@ -592,15 +606,12 @@ def _daemon_address(args) -> tuple[str | None, int | None]:
 def _client_from_args(args) -> "ClouClient":
     """Build the daemon client from the shared ``_add_daemon_flags``
     surface: repeatable ``--socket`` failover list, ``--tenant``
-    billing, a ``--deadline`` budget anchored at *now*, and the
-    ``--retries`` backoff loop (seeded, hence deterministic)."""
-    import time
-
+    billing, the command's ``--deadline``, and the ``--retries``
+    backoff loop (seeded, hence deterministic)."""
     from repro.serve import ClouClient
 
     sockets = tuple(path for path in (args.socket or ()) if path)
-    deadline = (time.time() + args.deadline
-                if args.deadline is not None else None)
+    deadline = args.deadline_at
     if args.port is not None and not sockets:
         return ClouClient(port=args.port, host=args.host,
                           tenant=args.tenant, deadline=deadline,
@@ -716,6 +727,11 @@ def _run_fuzz(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # One wall-clock budget for the whole command, anchored at its start
+    # and shared by the daemon client and the in-process fallback.
+    args.deadline_at = (time.time() + args.deadline
+                        if getattr(args, "deadline", None) is not None
+                        else None)
     try:
         if args.command == "analyze":
             return _run_analyze(args)

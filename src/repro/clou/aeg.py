@@ -21,8 +21,11 @@ controlled; pointers loaded from memory are architecturally trusted
 
 from __future__ import annotations
 
+import bisect
 import heapq
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 from repro.clou.alias import AliasAnalysis
 from repro.errors import ModelError
@@ -40,14 +43,12 @@ from repro.ir import (
     Instruction,
     IntType,
     Load,
-    PointerType,
     Store,
     Temp,
     Value,
 )
 
-@dataclass(frozen=True)
-class Dep:
+class Dep(NamedTuple):
     """A dependency chain head: the load whose result flows here.
 
     ``via_gep_index`` marks chains that pass through a getelementptr
@@ -93,6 +94,41 @@ class AEGNode:
         return f"[{self.block}#{self.index}] {self.instruction}"
 
 
+_position = attrgetter("position")
+
+
+class _Operands:
+    """Def-use index of the register nodes (BinOp, ICmp, Cast,
+    GetElementPtr) for the (data.rf)* extension: each node's operand
+    temps, the register nodes reading each temp in node order, and the
+    nodes due a re-run in the next register pass."""
+
+    __slots__ = ("records", "users", "stale")
+
+    def __init__(self):
+        self.records: dict[int, tuple] = {}
+        self.users: dict[str, list[int]] = {}
+        self.stale: set[int] = set()
+
+    def add(self, nid: int, ins: Instruction) -> tuple:
+        """Index one register node; returns its record ``(result,
+        plain operand temps, index operand temps, reads an argument)``."""
+        if isinstance(ins, GetElementPtr):
+            plain, indexed = (ins.base,), ins.indices
+        elif isinstance(ins, Cast):
+            plain, indexed = (ins.value,), ()
+        else:
+            plain, indexed = (ins.lhs, ins.rhs), ()
+        record = (ins.result.name,
+                  tuple(v.name for v in plain if isinstance(v, Temp)),
+                  tuple(v.name for v in indexed if isinstance(v, Temp)),
+                  any(isinstance(v, Argument) for v in (*plain, *indexed)))
+        self.records[nid] = record
+        for name in dict.fromkeys(record[1] + record[2]):
+            self.users.setdefault(name, []).append(nid)
+        return record
+
+
 class SAEG:
     """The S-AEG of one A-CFG function."""
 
@@ -120,11 +156,10 @@ class SAEG:
         self._build_reachability()
         self.deps: dict[str, tuple[Dep, ...]] = {}
         self.taint: dict[str, bool] = {}
-        self._def_node: dict[str, AEGNode] = {}
-        self._build_dataflow()
+        operands = self._build_dataflow()
         self.rf: list[tuple[AEGNode, AEGNode]] = []
         self._build_rf()
-        self._extend_through_memory()
+        self._extend_through_memory(operands)
 
     # ------------------------------------------------------------------
     # Construction
@@ -349,31 +384,30 @@ class SAEG:
     # Dataflow: deps and taint
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _is_pointer(value: Value) -> bool:
-        return isinstance(value.type, PointerType) if hasattr(value, "type") else False
+    def _cap(self, deps: tuple[Dep, ...]) -> tuple[Dep, ...]:
+        if len(deps) > self.max_deps_per_temp:
+            return deps[:self.max_deps_per_temp]
+        return deps
 
-    def _build_dataflow(self) -> None:
+    def _build_dataflow(self) -> "_Operands":
+        """Deps and taint of every temp, in one pass in node order.
+
+        Register nodes (BinOp, ICmp, Cast, GetElementPtr) start from no
+        deps and no taint and run :meth:`_propagate` once.  Returns the
+        def-use index the (data.rf)* extension re-runs them from."""
         deps = self.deps
         taint = self.taint
+        operands = _Operands()
 
         def value_deps(value: Value) -> tuple[Dep, ...]:
             if isinstance(value, Temp):
                 return deps.get(value.name, ())
             return ()
 
-        def value_taint(value: Value) -> bool:
-            if isinstance(value, Temp):
-                return taint.get(value.name, False)
-            if isinstance(value, Argument):
-                return True  # all top-level inputs are attacker-controlled
-            return False
-
         for node in self.nodes:
             ins = node.instruction
             if ins.result is None:
                 continue
-            self._def_node[ins.result.name] = node
             name = ins.result.name
             if isinstance(ins, Load):
                 deps[name] = (Dep(node.nid),)
@@ -389,25 +423,10 @@ class SAEG:
                     isinstance(ins.result.type, IntType)
                     and provenance.kind != "alloca"
                 )
-            elif isinstance(ins, (BinOp, ICmp)):
-                deps[name] = self._cap(tuple(dict.fromkeys(
-                    value_deps(ins.lhs) + value_deps(ins.rhs)
-                )))
-                taint[name] = value_taint(ins.lhs) or value_taint(ins.rhs)
-            elif isinstance(ins, Cast):
-                deps[name] = value_deps(ins.value)
-                taint[name] = value_taint(ins.value)
-            elif isinstance(ins, GetElementPtr):
-                collected: list[Dep] = list(value_deps(ins.base))
-                for index in ins.indices:
-                    collected.extend(
-                        Dep(d.source, True, d.store_hops)
-                        for d in value_deps(index)
-                    )
-                deps[name] = self._cap(tuple(dict.fromkeys(collected)))
-                taint[name] = any(
-                    value_taint(index) for index in ins.indices
-                ) or value_taint(ins.base)
+            elif isinstance(ins, (BinOp, ICmp, Cast, GetElementPtr)):
+                deps[name] = ()
+                taint[name] = False
+                self._propagate(operands.add(node.nid, ins))
             elif isinstance(ins, Call):
                 deps[name] = self._cap(tuple(dict.fromkeys(
                     d for arg in ins.args for d in value_deps(arg)
@@ -416,6 +435,40 @@ class SAEG:
             elif isinstance(ins, Alloca):
                 deps[name] = ()
                 taint[name] = False
+            # A register node that read this temp before its definition
+            # (only hand-built IR does) saw no value for it: it is stale
+            # until the first register pass.
+            operands.stale.update(operands.users.get(name, ()))
+        return operands
+
+    def _propagate(self, record: tuple) -> bool:
+        """Merge a register node's operand deps and taint into its own;
+        True when either grew.  The merge appends to the node's chain
+        before capping, so a chain only grows at its end and a capped
+        chain never changes again."""
+        name, plain, indexed, reads_argument = record
+        deps = self.deps
+        taint = self.taint
+        grew = False
+        old = deps[name]
+        if len(old) < self.max_deps_per_temp:
+            merged = dict.fromkeys(old)
+            for operand in plain:
+                merged.update(dict.fromkeys(deps.get(operand, ())))
+            for operand in indexed:
+                merged.update(dict.fromkeys(
+                    Dep(dep.source, True, dep.store_hops)
+                    for dep in deps.get(operand, ())))
+            if len(merged) > len(old):
+                deps[name] = self._cap(tuple(merged))
+                grew = True
+        if not taint[name] and (
+                reads_argument  # top-level inputs are attacker-controlled
+                or any(taint.get(operand, False) for operand in plain)
+                or any(taint.get(operand, False) for operand in indexed)):
+            taint[name] = True
+            grew = True
+        return grew
 
     # ------------------------------------------------------------------
     # rf over memory, and (data.rf)* extension
@@ -423,110 +476,187 @@ class SAEG:
 
     def _build_rf(self) -> None:
         """Store→load pairs under the §5.2 alias analysis, restricted to
-        the sliding window (positions within ``rf_window``)."""
-        stores = [n for n in self.nodes if n.is_store]
-        loads = [n for n in self.nodes if n.is_load]
-        stores.sort(key=lambda n: n.position)
-        import bisect
+        the sliding window (positions within ``rf_window``).
 
-        positions = [s.position for s in stores]
-        for load in loads:
-            lo = bisect.bisect_left(positions, load.position - self.rf_window)
-            for store in stores[lo:]:
-                if store.position >= load.position + self.rf_window:
-                    break
-                if not self.before(store, load):
-                    continue
-                if self.alias.may_alias(store.instruction.pointer,
-                                        load.instruction.pointer):
-                    self.rf.append((store, load))
+        Stores are grouped once by the base of their pointer's
+        provenance.  A load draws candidates only from the groups
+        :meth:`AliasAnalysis.alias` can answer MAY or MUST for: an
+        alloca load from its own slot and the unknown bases, an arg load
+        from the unknown bases, every arg and every global, a global
+        load from the unknown bases, every arg and its own global, and
+        an unknown load from every store.  A store can only precede a
+        load at a smaller position, so each group is bisected to
+        ``[position - rf_window, position)``; the candidates then pass
+        the ``before`` and ``may_alias`` tests in position order."""
+        provenance = self.alias.value_provenance
+        by_base: dict[tuple[str, str], list[AEGNode]] = {}
+        by_kind: dict[str, list[AEGNode]] = {}
+        everything: list[AEGNode] = []
+        for node in self.nodes:
+            if node.is_store:
+                source = provenance(node.instruction.pointer)
+                by_base.setdefault((source.kind, source.base), []).append(node)
+                by_kind.setdefault(source.kind, []).append(node)
+                everything.append(node)
 
-    def _extend_through_memory(self, max_rounds: int = 4) -> None:
+        def group(nodes: list[AEGNode] | None):
+            return (nodes, [n.position for n in nodes]) if nodes else None
+
+        bases = {key: group(nodes) for key, nodes in by_base.items()}
+        unknown, args, globals_ = (group(by_kind.get(kind))
+                                   for kind in ("unknown", "arg", "global"))
+        every = (group(everything),)
+        window = self.rf_window
+        before = self.before
+        may_alias = self.alias.may_alias
+        rf = self.rf
+        for load in self.nodes:
+            if not load.is_load:
+                continue
+            pointer = load.instruction.pointer
+            source = provenance(pointer)
+            kind = source.kind
+            if kind == "alloca":
+                groups = (bases.get((kind, source.base)), unknown)
+            elif kind == "arg":
+                groups = (unknown, args, globals_)
+            elif kind == "global":
+                groups = (unknown, args, bases.get((kind, source.base)))
+            else:
+                groups = every
+            low = load.position - window
+            high = min(load.position, load.position + window)
+            candidates: list[AEGNode] = []
+            for found in groups:
+                if found is not None:
+                    nodes, positions = found
+                    lo = bisect.bisect_left(positions, low)
+                    candidates.extend(
+                        nodes[lo:bisect.bisect_left(positions, high, lo)])
+            candidates.sort(key=_position)
+            for store in candidates:
+                if before(store, load) and \
+                        may_alias(store.instruction.pointer, pointer):
+                    rf.append((store, load))
+
+    def _extend_through_memory(self, operands: "_Operands",
+                               max_rounds: int = 4) -> None:
         """(data.rf)* — §5.3: a loaded value can be stored and re-loaded
         any number of times before its use as an address.  Each memory hop
-        increments ``store_hops``."""
-        for _ in range(max_rounds):
-            changed = False
-            for store, load in self.rf:
-                value = store.instruction.value
-                result = load.instruction.result
-                if result is None:
-                    continue
-                if isinstance(value, Argument):
-                    # Spilled parameters are attacker-controlled inputs.
-                    if not self.taint.get(result.name, False):
-                        self.taint[result.name] = True
-                        changed = True
-                    continue
-                if not isinstance(value, Temp):
-                    # Constant store: taints nothing, carries no deps.
-                    continue
-                incoming = self.deps.get(value.name, ())
-                existing = dict.fromkeys(self.deps.get(result.name, ()))
-                added = False
-                for dep in incoming:
-                    hopped = Dep(dep.source, dep.via_gep_index,
-                                 dep.store_hops + 1)
-                    if hopped not in existing:
-                        existing[hopped] = None
-                        added = True
-                if added:
-                    self.deps[result.name] = self._cap(tuple(existing))
-                    changed = True
-                # Taint flows through memory as well.
-                if self.taint.get(value.name, False) and not self.taint.get(
-                        result.name, False):
-                    self.taint[result.name] = True
-                    changed = True
-            if changed:
-                # Re-propagate register dataflow over the new facts.
-                self._repropagate_registers()
-            else:
-                break
+        increments ``store_hops``.
 
-    def _repropagate_registers(self) -> None:
+        The result is that of sweeping, for up to ``max_rounds`` rounds,
+        every rf pair in list order and then every register node in node
+        order, each seeing every update made before it, and stopping
+        after a round in which no pair found a hopped dep or taint that
+        its load lacked.  Both sweeps are change-driven here: a pair
+        re-runs only when its stored value's deps or taint changed since
+        it last ran, a register node only when an operand did.
+        Re-running either over unchanged inputs is a no-op, because
+        merges only append before capping: a chain keeps every dep it
+        once held, or is capped and never changes again.  So a round in
+        which nothing grew ends the loop, unless a pair's hopped deps
+        were cut off by the cap; that pair still counts as finding one,
+        and its register pass runs for any stale node
+        (:meth:`_hops_cut_off`)."""
         deps = self.deps
         taint = self.taint
+        cap = self.max_deps_per_temp
+        pairs: list[tuple[str | None, str] | None] = []
+        readers: dict[str, list[int]] = {}   # temp -> pairs storing it
+        for i, (store, load) in enumerate(self.rf):
+            value = store.instruction.value
+            result = load.instruction.result
+            if result is None or not isinstance(value, (Argument, Temp)):
+                pairs.append(None)  # a constant store carries nothing
+            elif isinstance(value, Temp):
+                readers.setdefault(value.name, []).append(i)
+                pairs.append((value.name, result.name))
+            else:
+                pairs.append((None, result.name))  # a spilled parameter
+        dirty = {i for i, pair in enumerate(pairs) if pair is not None}
+        for _ in range(max_rounds):
+            heap = sorted(dirty)
+            queued = set(heap)
+            dirty.clear()
+            grew = False
+            while heap:
+                i = heapq.heappop(heap)
+                value, result = pairs[i]
+                changed = False
+                if value is None:
+                    # Spilled parameters are attacker-controlled inputs.
+                    tainted = True
+                else:
+                    existing = deps[result]
+                    incoming = deps.get(value, ())
+                    if incoming and len(existing) < cap:
+                        merged = dict.fromkeys(existing)
+                        merged.update(dict.fromkeys(
+                            Dep(dep.source, dep.via_gep_index,
+                                dep.store_hops + 1)
+                            for dep in incoming))
+                        if len(merged) > len(existing):
+                            deps[result] = self._cap(tuple(merged))
+                            changed = True
+                    # Taint flows through memory as well.
+                    tainted = taint.get(value, False)
+                if tainted and not taint.get(result, False):
+                    taint[result] = True
+                    changed = True
+                if not changed:
+                    continue
+                grew = True
+                for j in readers.get(result, ()):
+                    if j <= i:
+                        dirty.add(j)
+                    elif j not in queued:
+                        queued.add(j)
+                        heapq.heappush(heap, j)
+                operands.stale.update(operands.users.get(result, ()))
+            if not grew and not (operands.stale and self._hops_cut_off(pairs)):
+                break
+            for name in self._repropagate_registers(operands):
+                dirty.update(readers.get(name, ()))
 
-        def value_deps(value: Value) -> tuple[Dep, ...]:
-            if isinstance(value, Temp):
-                return deps.get(value.name, ())
-            return ()
-
-        def value_taint(value: Value) -> bool:
-            if isinstance(value, Temp):
-                return taint.get(value.name, False)
-            if isinstance(value, Argument):
-                return True
-            return False
-
-        for node in self.nodes:
-            ins = node.instruction
-            if ins.result is None or isinstance(ins, (Load, Alloca)):
+    def _hops_cut_off(self, pairs: list[tuple[str | None, str] | None]
+                      ) -> bool:
+        """Would re-running every rf pair find a hopped dep that its
+        load's chain lacks?  Only a capped chain can lack one after a
+        round that changed nothing; the full re-run counted that pair
+        as a change and ran one more register pass."""
+        deps = self.deps
+        for pair in pairs:
+            if pair is None or pair[0] is None:
                 continue
-            name = ins.result.name
-            if isinstance(ins, (BinOp, ICmp)):
-                merged = dict.fromkeys(deps.get(name, ()))
-                merged.update(dict.fromkeys(
-                    value_deps(ins.lhs) + value_deps(ins.rhs)))
-                deps[name] = self._cap(tuple(merged))
-                taint[name] = taint.get(name, False) or \
-                    value_taint(ins.lhs) or value_taint(ins.rhs)
-            elif isinstance(ins, Cast):
-                merged = dict.fromkeys(deps.get(name, ()))
-                merged.update(dict.fromkeys(value_deps(ins.value)))
-                deps[name] = self._cap(tuple(merged))
-                taint[name] = taint.get(name, False) or value_taint(ins.value)
-            elif isinstance(ins, GetElementPtr):
-                merged = dict.fromkeys(deps.get(name, ()))
-                merged.update(dict.fromkeys(value_deps(ins.base)))
-                for index in ins.indices:
-                    merged.update(dict.fromkeys(
-                        Dep(d.source, True, d.store_hops)
-                        for d in value_deps(index)))
-                deps[name] = self._cap(tuple(merged))
-                taint[name] = taint.get(name, False) or any(
-                    value_taint(i) for i in ins.indices) or value_taint(ins.base)
+            value, result = pair
+            existing = set(deps[result])
+            if any(Dep(dep.source, dep.via_gep_index, dep.store_hops + 1)
+                   not in existing for dep in deps.get(value, ())):
+                return True
+        return False
+
+    def _repropagate_registers(self, operands: "_Operands") -> list[str]:
+        """Re-run the stale register nodes in node order; returns the
+        temps whose deps or taint grew."""
+        heap = sorted(operands.stale)
+        queued = set(heap)
+        operands.stale.clear()
+        grown = []
+        while heap:
+            nid = heapq.heappop(heap)
+            record = operands.records[nid]
+            if not self._propagate(record):
+                continue
+            name = record[0]
+            grown.append(name)
+            for user in operands.users.get(name, ()):
+                if user <= nid:
+                    operands.stale.add(user)
+                elif user not in queued:
+                    queued.add(user)
+                    heapq.heappush(heap, user)
+        return grown
 
     # ------------------------------------------------------------------
     # Queries used by the engines
@@ -591,11 +721,6 @@ class SAEG:
     # ------------------------------------------------------------------
     # Realizability (Fig. 7)
     # ------------------------------------------------------------------
-
-    def _cap(self, deps: tuple[Dep, ...]) -> tuple[Dep, ...]:
-        if len(deps) > self.max_deps_per_temp:
-            return deps[:self.max_deps_per_temp]
-        return deps
 
     def path_constraints(self):
         """Encode architectural path conditions as boolean constraints:

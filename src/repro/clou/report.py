@@ -27,8 +27,6 @@ class NodeRef:
     def of(cls, node: AEGNode, aeg=None) -> "NodeRef":
         provenance = ""
         if aeg is not None:
-            from repro.ir import Store
-
             ins = node.instruction
             pointer = getattr(ins, "pointer", None)
             if pointer is not None:

@@ -6,19 +6,29 @@ from repro.clou import SAEG, build_acfg
 from repro.errors import ModelError
 from repro.ir import (
     I1,
+    I64,
+    U64,
     VOID,
+    Alloca,
     Argument,
+    ArrayType,
     BasicBlock,
     BinOp,
     Branch,
+    Constant,
     FenceInstr,
     Function,
+    GetElementPtr,
+    GlobalRef,
     Jump,
     Load,
     Ret,
     Store,
+    Temp,
+    pointer_to,
 )
 from repro.minic import compile_c
+from tests.clou.saeg_reference import assert_same_build
 
 SPECTRE_V1 = """
 uint8_t A[16];
@@ -329,3 +339,224 @@ void f(uint64_t y) {
         with pytest.raises(ModelError, match="cycle through block "
                                              "'while.(cond|body)"):
             SAEG(module.functions["f"])
+
+
+# ----------------------------------------------------------------------
+# Construction edge cases, each checked against the original algorithms
+# ----------------------------------------------------------------------
+
+PTR = pointer_to(U64)
+
+
+def _temp(name, type_=U64):
+    return Temp(name, type_)
+
+
+def _global(name, type_=U64):
+    return GlobalRef(name, pointer_to(type_))
+
+
+def _load(name, pointer, type_=U64):
+    return Load(pointer=pointer, result=_temp(name, type_))
+
+
+def _add(name, lhs, rhs=Constant(1, U64)):
+    return BinOp(op="add", lhs=lhs, rhs=rhs, result=_temp(name))
+
+
+def _straight(instructions, **kwargs):
+    """Build one straight-line block with both S-AEG implementations and
+    assert they agree; returns the new S-AEG."""
+    function = Function(name="f", params=[("p", PTR)], return_type=VOID,
+                        blocks=[BasicBlock("entry", [*instructions, Ret()])])
+    return assert_same_build(function, **kwargs)
+
+
+def _pairs(aeg):
+    """rf as (stored value or pointer text, loaded temp) pairs."""
+    return [(str(store.instruction.pointer), load.instruction.result.name)
+            for store, load in aeg.rf]
+
+
+def _sources(aeg, name):
+    return {(aeg.node_of(dep.source).instruction.result.name, dep.store_hops)
+            for dep in aeg.deps[name]}
+
+
+def _accumulate(count):
+    """``count`` global loads summed into %acN: acN's chain is capped."""
+    body = [_load(f"x{i}", _global(f"g{i}")) for i in range(count)]
+    body.append(_add("ac1", _temp("x0"), _temp("x1")))
+    body.extend(_add(f"ac{i}", _temp(f"ac{i - 1}"), _temp(f"x{i}"))
+                for i in range(2, count))
+    return body
+
+
+class TestBuildEdgeCases:
+    def test_chain_longer_than_the_round_limit(self):
+        """Each hop stores a register value, so it needs its own round:
+        four rounds carry the origin four hops and no further."""
+        body = [_load("l0", _global("A"))]
+        previous = _temp("l0")
+        for hop in range(1, 7):
+            body += [Store(value=previous, pointer=_global(f"s{hop}")),
+                     _load(f"l{hop}", _global(f"s{hop}")),
+                     _add(f"a{hop}", _temp(f"l{hop}"))]
+            previous = _temp(f"a{hop}")
+        aeg = _straight(body)
+        assert ("l0", 1) in _sources(aeg, "l1")
+        assert ("l0", 4) in _sources(aeg, "l4")
+        assert ("l0", 4) in _sources(aeg, "a4")
+        for name in ("l5", "l6"):
+            assert not any(source == "l0" for source, _ in
+                           _sources(aeg, name))
+
+    def test_direct_reloads_finish_within_the_round(self):
+        """Storing a loaded value directly needs no register pass: each
+        rf pair sees the updates of the pairs before it, so after the
+        register hop %a1 (round two) the rest of the chain completes in
+        that same round."""
+        body = [_load("l0", _global("A")),
+                Store(value=_temp("l0"), pointer=_global("s1")),
+                _load("l1", _global("s1")),
+                _add("a1", _temp("l1"))]
+        previous = _temp("a1")
+        for hop in range(2, 7):
+            body += [Store(value=previous, pointer=_global(f"s{hop}")),
+                     _load(f"l{hop}", _global(f"s{hop}"))]
+            previous = _temp(f"l{hop}")
+        aeg = _straight(body)
+        assert ("l0", 6) in _sources(aeg, "l6")
+
+    def test_late_taint_crosses_reloads_within_its_round(self):
+        """Round three's first change is taint on %m1: every chain is
+        already capped, so round two changed nothing downstream.  The
+        pairs after it must still see that taint within round three."""
+        def slot(name):
+            return _temp(name, PTR)
+
+        body = [Alloca(result=slot(name), allocated_type=U64)
+                for name in ("w1s", "w2s", "m1s", "m2s", "m3s", "m4s",
+                             *(f"k{i}s" for i in range(32)))]
+        # %ac31 carries 32 deps and no taint: %b2's chain is capped.
+        body += [_load(f"x{i}", slot(f"k{i}s")) for i in range(32)]
+        body += _accumulate(32)[32:]
+        body += [Store(value=Argument("p", PTR), pointer=slot("w1s")),
+                 _load("w1", slot("w1s")),
+                 _add("b1", _temp("w1")),
+                 Store(value=_temp("b1"), pointer=slot("w2s")),
+                 _load("w2", slot("w2s")),
+                 _add("b2", _temp("ac31"), _temp("w2"))]
+        previous = _temp("b2")
+        for hop in range(1, 5):
+            body += [Store(value=previous, pointer=slot(f"m{hop}s")),
+                     _load(f"m{hop}", slot(f"m{hop}s"))]
+            previous = _temp(f"m{hop}")
+        aeg = _straight(body)
+        assert len(aeg.deps["b2"]) == 32
+        assert all(aeg.taint[f"m{hop}"] for hop in range(1, 5))
+
+    def test_capped_chain_keeps_insertion_order(self):
+        body = _accumulate(40)
+        body += [Store(value=_temp("ac39"), pointer=_global("out")),
+                 _load("r", _global("out"))]
+        aeg = _straight(body)
+        loads = {node.instruction.result.name: node.nid
+                 for node in aeg.loads()}
+        assert [dep.source for dep in aeg.deps["ac39"]] == \
+            [loads[f"x{i}"] for i in range(32)]
+        # The reload's own head first, then the first 31 hopped heads.
+        assert [(dep.source, dep.store_hops) for dep in aeg.deps["r"]] == \
+            [(loads["r"], 0)] + [(loads[f"x{i}"], 1) for i in range(31)]
+
+    @pytest.mark.parametrize("capped", [False, True])
+    def test_stale_register_node_after_a_quiet_round(self, capped):
+        """%y reads %x before %x is defined.  %x grows in round one's
+        register pass, after %y ran, so %y is stale when round two
+        changes nothing.  The full re-run still counted the capped
+        %acc->%r pair as a change and ran one more register pass; with
+        an uncapped pair it stopped and left %y stale."""
+        count = 40 if capped else 3
+        last = f"ac{count - 1}"
+        body = [_add("y", _temp("x"))]
+        body += _accumulate(count)
+        body += [Store(value=_temp(last), pointer=_global("out")),
+                 _load("r", _global("out")),
+                 _add("x", _temp("r"))]
+        aeg = _straight(body)
+        assert ("x0", 1) in _sources(aeg, "x")
+        assert (("x0", 1) in _sources(aeg, "y")) == capped
+
+    def test_distinct_allocas_never_pair(self):
+        a, b = _temp("a", PTR), _temp("b", PTR)
+        aeg = _straight([
+            Alloca(result=a, allocated_type=U64),
+            Alloca(result=b, allocated_type=U64),
+            Store(value=Constant(1, U64), pointer=a),
+            Store(value=Constant(2, U64), pointer=b),
+            _load("v", b),
+        ])
+        assert _pairs(aeg) == [("%b", "v")]
+
+    def test_arg_and_global_pair(self):
+        aeg = _straight([
+            Store(value=Constant(1, U64), pointer=_global("g")),
+            Store(value=Constant(2, U64), pointer=_global("h")),
+            _load("v", Argument("p", PTR)),
+            Store(value=Constant(3, U64), pointer=Argument("p", PTR)),
+            _load("w", _global("g")),
+        ])
+        assert _pairs(aeg) == [("@g", "v"), ("@h", "v"), ("@g", "w"),
+                               ("%p", "w")]
+
+    def test_unknown_pairs_with_everything(self):
+        slot = _temp("slot", PTR)
+        q = _temp("q", PTR)
+        aeg = _straight([
+            Alloca(result=slot, allocated_type=U64),
+            _load("q", _global("gp", PTR), PTR),
+            Store(value=Constant(1, U64), pointer=q),
+            _load("s", slot),
+            _load("a", Argument("p", PTR)),
+            _load("g", _global("g")),
+            Store(value=Constant(2, U64), pointer=slot),
+            Store(value=Constant(3, U64), pointer=Argument("p", PTR)),
+            Store(value=Constant(4, U64), pointer=_global("g")),
+            _load("u", q),
+        ])
+        assert _pairs(aeg) == [("%q", "s"), ("%q", "a"), ("%q", "g"),
+                               ("%q", "u"), ("%slot", "u"), ("%p", "u"),
+                               ("@g", "u")]
+
+    def test_constant_offsets_split_one_base(self):
+        array = GlobalRef("arr", pointer_to(ArrayType(U64, 8)))
+
+        def element(name, index):
+            return GetElementPtr(base=array, indices=(Constant(0, I64), index),
+                                 element=U64, result=_temp(name, PTR))
+
+        aeg = _straight([
+            element("e1", Constant(1, I64)),
+            element("e2", Constant(2, I64)),
+            _load("i", _global("n")),
+            element("ei", _temp("i")),
+            Store(value=Constant(1, U64), pointer=_temp("e1", PTR)),
+            _load("v", _temp("e2", PTR)),
+            Store(value=Constant(2, U64), pointer=_temp("ei", PTR)),
+            _load("w", _temp("e2", PTR)),
+        ])
+        # [0][1] vs [0][2] is NO; the data-dependent [0][⊤] is MAY.
+        assert _pairs(aeg) == [("%ei", "w")]
+
+    def test_rf_window_boundary(self):
+        def stores_then_load(gap):
+            return [Store(value=Constant(1, U64), pointer=_global("g")),
+                    *(_add(f"f{i}", Constant(0, U64)) for i in range(gap)),
+                    _load("v", _global("g"))]
+
+        # A store at position load - rf_window is in the window; one
+        # with rf_window instructions strictly between it and the load
+        # is not.
+        assert _pairs(_straight(stores_then_load(3), rf_window=4)) == \
+            [("@g", "v")]
+        assert _pairs(_straight(stores_then_load(4), rf_window=4)) == []

@@ -63,6 +63,27 @@ class TestAnalyze:
         assert main(["analyze", victim_file, "--no-addr-gep-filter"]) == 1
 
 
+class TestDeadline:
+    """With no daemon reachable, ``--deadline`` bounds the in-process
+    fallback as it bounds the daemon path."""
+
+    def test_missed_deadline_exits_incomplete(self, tmp_path, capsys):
+        from repro.bench.suites import CORPUS_DIR
+
+        donna = str(CORPUS_DIR / "crypto" / "donna.c")
+        dead = str(tmp_path / "dead.sock")
+        assert main(["analyze", donna, "--deadline", "0.5",
+                     "--socket", dead]) == 3
+        assert "deadline exceeded" in capsys.readouterr().err
+
+    def test_met_deadline_keeps_the_exit_code(self, victim_file, tmp_path,
+                                              capsys):
+        dead = str(tmp_path / "dead.sock")
+        assert main(["analyze", victim_file, "--deadline", "60",
+                     "--socket", dead]) == 1
+        assert "UDT" in capsys.readouterr().out
+
+
 class TestRepair:
     def test_repair_success(self, victim_file, capsys):
         assert main(["repair", victim_file]) == 0
