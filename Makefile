@@ -116,10 +116,14 @@ bench:
 bench-e2e-smoke:
 	python3 benchmarks/e2e/run.py --smoke
 
-# Scheduler speedup table (serial vs --jobs 4 vs warm cache); the
-# numbers land in EXPERIMENTS.md.
+# Scheduler speedup table (serial vs --jobs 4 vs warm cache), the pool's
+# checkpoint traffic per openssl-jobs2 pass and `clou analyze --jobs 2`
+# vs `--jobs 1` on the witness-heavy crypto files; writes
+# BENCH_sched.json and fails if the two settings print different bytes.
+# BASELINE=<checkout of an earlier commit>/src also times the CLI from
+# that tree, the before/after columns of the committed file.
 bench-sched:
-	python benchmarks/bench_scheduler.py
+	python benchmarks/bench_scheduler.py $(if $(BASELINE),--baseline $(BASELINE))
 
 # Incremental-vs-fresh SAT ablation on subrosa's XWitnessEncoder
 # (persistent assumption-based solving vs a fresh solver per query);

@@ -10,22 +10,51 @@ The parallel speedup scales with physical cores; on a single-core
 runner jobs=4 is expected to be ~1x (the numbers are printed, not
 asserted — only the byte-identity of the reports is).
 
-Run directly (``python benchmarks/bench_scheduler.py``) or via
-``make bench-sched``; also collected by pytest for the invariants.
+Run directly or via ``make bench-sched`` to also write
+``benchmarks/BENCH_sched.json``, which records the pool's checkpoint
+traffic and ``clou analyze --jobs 2`` against ``--jobs 1``:
+
+- the checkpoint messages of one pass of the end-to-end benchmark's
+  ``openssl-jobs2`` units (seed 0), with their pickled bytes under the
+  full-snapshot encoding and under the delta encoding the pool sends;
+- the median wall time of ``clou analyze --engine pht --json`` under
+  ``--jobs 1`` and ``--jobs 2`` on the witness-heavy crypto files, with
+  a check that both print the same bytes.  ``--baseline SRC`` times the
+  same commands from another source tree (the ``src`` of a checkout of
+  an earlier commit, whose id is recorded when it is a git checkout) and
+  checks its output is identical too.  The committed file holds these
+  before/after columns, so regenerate it with a baseline::
+
+    make bench-sched BASELINE=../old-checkout/src
+
+Also collected by pytest for the speedup invariants.
 """
 
+import argparse
+import json
 import os
+import pickle
+import platform
 import shutil
+import statistics
+import subprocess
 import sys
 import tempfile
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.bench.synthetic import openssl_like_source
-from repro.clou import ClouConfig
-from repro.clou.serialize import to_json
-from repro.sched import AnalysisRequest, ClouSession
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from repro.bench.suites import CORPUS_DIR  # noqa: E402
+from repro.bench.synthetic import openssl_like_source  # noqa: E402
+from repro.clou import ClouConfig  # noqa: E402
+from repro.clou.serialize import to_json  # noqa: E402
+from repro.sched import AnalysisRequest, ClouSession  # noqa: E402
+from repro.sched.scheduler import _delta_encoder  # noqa: E402
+from repro.sched.worker import execute_item, module_for  # noqa: E402
 
 CONFIG = ClouConfig(timeout_seconds=120.0)
 N_FUNCTIONS = 24
@@ -78,7 +107,105 @@ def test_parallel_speedup_on_multicore(benchmark):
     assert by_label["jobs=4"] >= 2.0
 
 
-def main():
+#: Crypto files whose pht run is one long, witness-heavy item.
+CLI_FILES = ("hmac", "chacha20", "mee_cbc", "donna")
+#: Runs per CLI setting; the median is recorded.
+REPEAT = 5
+
+
+def checkpoint_traffic() -> dict:
+    """Checkpoint messages, witnesses sent and pickled bytes of one
+    ``openssl-jobs2`` pass, under both encodings.  The engine emits the
+    same full snapshots either way; the counts are exact."""
+    sys.path.insert(0, str(ROOT / "benchmarks" / "e2e"))
+    from workloads import OpensslJobs2
+
+    totals = {"messages": 0, "full_witnesses": 0, "delta_witnesses": 0,
+              "full_bytes": 0, "delta_bytes": 0}
+    for request in OpensslJobs2(seed=0, smoke=False).requests:
+        module = module_for(request.source, request.name)
+        for function in module.public_functions():
+            payload = {"kind": "analyze", "source": request.source,
+                       "name": request.name, "function": function.name,
+                       "engine": request.engine,
+                       "config": request.config.to_dict()}
+            encode = _delta_encoder(None)
+
+            def count(snapshot):
+                delta = encode(snapshot)
+                totals["messages"] += 1
+                totals["full_witnesses"] += len(snapshot["witnesses"])
+                totals["delta_witnesses"] += len(delta["witnesses"])
+                totals["full_bytes"] += len(pickle.dumps(
+                    (0, "checkpoint", snapshot)))
+                totals["delta_bytes"] += len(pickle.dumps(
+                    (0, "checkpoint", delta)))
+            execute_item(payload, checkpoint=count)
+    return totals
+
+
+def _clou(src: Path, path: Path, jobs: int) -> tuple[float, bytes]:
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith("REPRO_")}
+    env["PYTHONPATH"] = str(src)
+    started = time.monotonic()
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "analyze", str(path),
+         "--engine", "pht", "--json", "--no-cache", "--jobs", str(jobs)],
+        capture_output=True, env=env, check=False)
+    return time.monotonic() - started, done.stdout
+
+
+def cli_walls(baseline: Path | None) -> dict:
+    """Median wall seconds of ``clou analyze`` per file and setting,
+    the runs of each round interleaved."""
+    trees = {"current": ROOT / "src"}
+    if baseline is not None:
+        trees["baseline"] = baseline
+    rows = {}
+    for name in CLI_FILES:
+        path = CORPUS_DIR / "crypto" / f"{name}.c"
+        walls: dict[str, list[float]] = {}
+        outputs = set()
+        for _ in range(REPEAT):
+            for tree, src in trees.items():
+                for jobs in (1, 2):
+                    wall, stdout = _clou(src, path, jobs)
+                    walls.setdefault(f"{tree}_jobs{jobs}_s", []).append(wall)
+                    outputs.add(stdout)
+        rows[name] = {key: round(statistics.median(values), 3)
+                      for key, values in walls.items()}
+        rows[name]["identical"] = len(outputs) == 1
+        print(f"{name:9} " + " ".join(
+            f"{key}={value}" for key, value in rows[name].items()))
+    return rows
+
+
+def _cpu() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def _commit(src: Path) -> str | None:
+    """The commit checked out at ``src``, or None outside a git tree."""
+    done = subprocess.run(["git", "-C", str(src), "rev-parse", "HEAD"],
+                          capture_output=True, text=True, check=False)
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--baseline", type=Path, default=None,
+                        help="another source tree to time the CLI from")
+    parser.add_argument("--out", default=str(ROOT / "benchmarks" /
+                                             "BENCH_sched.json"))
+    args = parser.parse_args(argv)
     print(f"scheduler speedup — {N_FUNCTIONS} public functions, "
           f"engine=pht, {os.cpu_count()} cores")
     print(f"{'configuration':22s} {'wall':>8s} {'speedup':>8s} "
@@ -87,6 +214,42 @@ def main():
     for label, wall, speedup, hit_rate in scheduler_speedup_table():
         cache = f"{hit_rate * 100:.0f}%" if hit_rate is not None else "-"
         print(f"{label:22s} {wall:7.2f}s {speedup:7.2f}x {cache:>7s}")
+    traffic = checkpoint_traffic()
+    print("openssl-jobs2 pass: " + " ".join(
+        f"{key}={value}" for key, value in traffic.items()))
+    walls = cli_walls(args.baseline)
+    command = "python benchmarks/bench_scheduler.py"
+    if args.baseline is not None:
+        command += " --baseline SRC"
+    payload = {
+        "benchmark": "sched_checkpoint_pipe",
+        "command": command,
+        "baseline": None if args.baseline is None else {
+            "src": "SRC: the source tree given to --baseline",
+            "commit": _commit(args.baseline)},
+        "host": {"cpu": _cpu(), "cores": os.cpu_count(),
+                 "python": platform.python_version()},
+        "checkpoint_traffic": {
+            "workload": "openssl-jobs2 units, seed 0, one pass",
+            "full": "every message carries the whole snapshot",
+            "delta": "every message carries the witnesses new since the "
+                     "previous one",
+            **traffic,
+        },
+        "cli": {
+            "command": "clou analyze FILE --engine pht --json --no-cache "
+                       "--jobs N",
+            "repeat": REPEAT,
+            "statistic": "median wall seconds, settings interleaved",
+            "trees": "current: this checkout; baseline: the --baseline "
+                     "source tree",
+            "files": walls,
+        },
+    }
+    with open(args.out, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=1)
+        handle.write("\n")
+    return 0 if all(row["identical"] for row in walls.values()) else 1
 
 
 if __name__ == "__main__":

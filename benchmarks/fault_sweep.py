@@ -72,12 +72,17 @@ PLANS = [
     ("crash@worker.item#2", True),     # one crash, then recovery
     ("memory@worker.item#2", True),
     ("crash@engine.candidate#3", True),
+    # Late: tea's checkpoint at candidate 40 carries 34 witnesses, so the
+    # resume folds a witness-bearing checkpoint stream (the early plans
+    # crash before any witness exists).
+    ("crash@engine.candidate#40", True),
 ]
 
 SMOKE_PLANS = [
     ("seed=0;budget@engine.candidate%0.5", False),
     ("crash@engine.candidate#2", True),
     ("hang@engine.candidate#2", True),
+    ("crash@engine.candidate#40", True),
 ]
 
 
@@ -154,7 +159,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="the fast CI subset (three engine/source "
-                             "pairs, three plans)")
+                             "pairs, four plans)")
     parser.add_argument("--sources", nargs="*", default=None,
                         help="corpus files to sweep (default: the "
                              "engine/source matrix)")

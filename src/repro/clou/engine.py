@@ -150,7 +150,11 @@ class _SearchState:
     :meth:`DetectionEngine.run` with it and produce a report equal to an
     uninterrupted run: the suffix is recomputed identically, and the
     counters resume from their checkpointed values.  Witness dicts are
-    cached incrementally so each snapshot serializes only new ones.
+    cached, so each witness is converted to a dict once; every snapshot
+    still carries the whole list (a fresh list object, so a stored
+    snapshot never grows).  The process pool sends only the witnesses
+    that are new since the previous snapshot over its pipe and rebuilds
+    the full list on the parent side (:mod:`repro.sched.scheduler`).
     """
 
     def __init__(self, resume: dict | None, emit) -> None:
@@ -193,10 +197,6 @@ class _SearchState:
             "skipped": report.skipped,
             "witnesses": list(self._witness_dicts),
         })
-
-
-def _ref(node: AEGNode | None, aeg=None) -> NodeRef | None:
-    return NodeRef.of(node, aeg) if node is not None else None
 
 
 ENGINES: dict[str, type["DetectionEngine"]] = {}
@@ -246,6 +246,17 @@ class DetectionEngine:
         self.config = config
         self._ranges = None     # lazily-built IntervalAnalysis
         self._ranges_built = False
+        self._refs: dict[int, NodeRef] = {}
+
+    def _ref(self, node: AEGNode | None) -> NodeRef | None:
+        """The node's :class:`NodeRef`, rendered once per engine: the
+        same few nodes appear in many witnesses."""
+        if node is None:
+            return None
+        ref = self._refs.get(node.nid)
+        if ref is None:
+            ref = self._refs[node.nid] = NodeRef.of(node, self.aeg)
+        return ref
 
     # -- per-engine hooks --------------------------------------------------
 
@@ -420,11 +431,11 @@ class DetectionEngine:
                     report.witnesses.append(ClouWitness(
                         engine=self.name,
                         klass=TransmitterClass.UNIVERSAL_DATA,
-                        transmit=NodeRef.of(transmit, self.aeg),
-                        primitive=NodeRef.of(primitive, self.aeg),
-                        access=NodeRef.of(access, self.aeg),
-                        index=NodeRef.of(index, self.aeg),
-                        window_start=_ref(window_start, self.aeg),
+                        transmit=self._ref(transmit),
+                        primitive=self._ref(primitive),
+                        access=self._ref(access),
+                        index=self._ref(index),
+                        window_start=self._ref(window_start),
                         transient_transmit=transmit_transient,
                         transient_access=access_transient,
                         store_hops=dep.store_hops + index_dep.store_hops,
@@ -435,10 +446,10 @@ class DetectionEngine:
                 report.witnesses.append(ClouWitness(
                     engine=self.name,
                     klass=TransmitterClass.DATA,
-                    transmit=NodeRef.of(transmit, self.aeg),
-                    primitive=NodeRef.of(primitive, self.aeg),
-                    access=NodeRef.of(access, self.aeg),
-                    window_start=_ref(window_start, self.aeg),
+                    transmit=self._ref(transmit),
+                    primitive=self._ref(primitive),
+                    access=self._ref(access),
+                    window_start=self._ref(window_start),
                     transient_transmit=transmit_transient,
                     transient_access=access_transient,
                     store_hops=dep.store_hops,
@@ -493,11 +504,11 @@ class DetectionEngine:
                             report.witnesses.append(ClouWitness(
                                 engine=self.name,
                                 klass=TransmitterClass.UNIVERSAL_CONTROL,
-                                transmit=NodeRef.of(transmit, self.aeg),
-                                primitive=NodeRef.of(primitive, self.aeg),
-                                access=NodeRef.of(access, self.aeg),
-                                index=NodeRef.of(index, self.aeg),
-                                window_start=_ref(window_start, self.aeg),
+                                transmit=self._ref(transmit),
+                                primitive=self._ref(primitive),
+                                access=self._ref(access),
+                                index=self._ref(index),
+                                window_start=self._ref(window_start),
                                 transient_transmit=transmit_transient,
                                 transient_access=access_transient,
                                 store_hops=dep.store_hops + index_dep.store_hops,
@@ -510,10 +521,10 @@ class DetectionEngine:
                         report.witnesses.append(ClouWitness(
                             engine=self.name,
                             klass=TransmitterClass.CONTROL,
-                            transmit=NodeRef.of(transmit, self.aeg),
-                            primitive=NodeRef.of(primitive, self.aeg),
-                            access=NodeRef.of(access, self.aeg),
-                            window_start=_ref(window_start, self.aeg),
+                            transmit=self._ref(transmit),
+                            primitive=self._ref(primitive),
+                            access=self._ref(access),
+                            window_start=self._ref(window_start),
                             transient_transmit=transmit_transient,
                             transient_access=access_transient,
                             store_hops=dep.store_hops,
@@ -628,10 +639,10 @@ class ClouPHT(DetectionEngine):
             report.witnesses.append(ClouWitness(
                 engine=self.name,
                 klass=TransmitterClass.DATA,
-                transmit=NodeRef.of(transient_load, self.aeg),
-                primitive=NodeRef.of(primitive, self.aeg),
-                access=NodeRef.of(access, self.aeg),
-                window_start=NodeRef.of(committed, self.aeg),
+                transmit=self._ref(transient_load),
+                primitive=self._ref(primitive),
+                access=self._ref(access),
+                window_start=self._ref(committed),
                 transient_transmit=True,
                 transient_access=False,
                 store_hops=deps[0].store_hops,
@@ -905,10 +916,10 @@ class ClouFWD(DetectionEngine):
             report.witnesses.append(ClouWitness(
                 engine=self.name,
                 klass=klass,
-                transmit=NodeRef.of(transmit, self.aeg),
-                primitive=NodeRef.of(primitive, self.aeg),
-                access=NodeRef.of(access, self.aeg),
-                window_start=NodeRef.of(store, self.aeg),
+                transmit=self._ref(transmit),
+                primitive=self._ref(primitive),
+                access=self._ref(access),
+                window_start=self._ref(store),
                 transient_transmit=True,
                 transient_access=True,
                 store_hops=dep.store_hops,
@@ -952,10 +963,10 @@ class ClouFWD(DetectionEngine):
                     report.witnesses.append(ClouWitness(
                         engine=self.name,
                         klass=klass,
-                        transmit=NodeRef.of(transmit, self.aeg),
-                        primitive=NodeRef.of(primitive, self.aeg),
-                        access=NodeRef.of(access, self.aeg),
-                        window_start=NodeRef.of(store, self.aeg),
+                        transmit=self._ref(transmit),
+                        primitive=self._ref(primitive),
+                        access=self._ref(access),
+                        window_start=self._ref(store),
                         transient_transmit=True,
                         transient_access=True,
                         store_hops=dep.store_hops,

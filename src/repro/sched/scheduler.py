@@ -28,7 +28,8 @@ Degradation support (workers opting in via a ``supports_checkpoints``
 attribute):
 
 - **checkpoint/resume** — workers stream progress snapshots up the
-  pipe; a wall-clock kill, crash, or memory kill re-queues the item
+  pipe (as deltas: each witness crosses once, see :func:`_fold`); a
+  wall-clock kill, crash, or memory kill re-queues the item
   *with its last checkpoint*, so the retry resumes instead of
   restarting, and the merged result is identical to an uninterrupted
   run;
@@ -217,11 +218,62 @@ def _apply_memory_limit(limit_mb: int | None) -> None:
         pass  # platform without RLIMIT_AS: ceiling is best-effort
 
 
+def _delta_encoder(resume):
+    """The worker-side half of the checkpoint delta encoding: a function
+    turning each full snapshot of one dispatch into the message that
+    crosses the pipe.
+
+    A snapshot whose ``witnesses`` list extends the previous one (the
+    engine only appends, and a resumed run starts from the resume's
+    list) is sent as its scalar fields, the witnesses not sent yet, and
+    ``base``, the count already sent.  Each witness then crosses the
+    pipe once per attempt, instead of once per later candidate.
+    Snapshots without a ``witnesses`` key pass through unchanged."""
+    sent = len(resume["witnesses"]) \
+        if isinstance(resume, dict) and "witnesses" in resume else 0
+
+    def encode(snapshot):
+        nonlocal sent
+        if not isinstance(snapshot, dict) or "witnesses" not in snapshot:
+            return snapshot
+        witnesses = snapshot["witnesses"]
+        delta = dict(snapshot, witnesses=witnesses[sent:], base=sent)
+        sent = len(witnesses)
+        return delta
+    return encode
+
+
+def _fold(previous, delta):
+    """The parent-side half: rebuild the full checkpoint from the last
+    one and a message made by :func:`_delta_encoder`, as
+    ``previous["witnesses"] + delta["witnesses"]``.  The list of
+    ``previous`` is extended in place (its dict is dropped), so the
+    parent's work per message is linear in the new witnesses.  ``base``
+    must equal the witnesses ``previous`` holds (0 starts a new list): a
+    message that does not extend the last checkpoint raises instead of
+    leaving a gap or dropping witnesses."""
+    if not isinstance(delta, dict) or "base" not in delta:
+        return delta
+    full = dict(delta)
+    base = full.pop("base")
+    witnesses = previous["witnesses"] \
+        if base and isinstance(previous, dict) else []
+    if len(witnesses) != base:
+        raise RuntimeError(
+            f"checkpoint delta starts at witness {base}, but the last "
+            f"checkpoint holds {len(witnesses)}")
+    witnesses.extend(full["witnesses"])
+    full["witnesses"] = witnesses
+    return full
+
+
 def _worker_loop(worker, conn, memory_limit_mb=None):
     """Runs in the child: receive ``(index, payload, resume)``, send
     ``(index, status, value)`` — plus interim ``"checkpoint"`` messages
-    when the worker supports them (these double as heartbeats).  Exits
-    on the ``None`` sentinel or a closed pipe."""
+    when the worker supports them (these double as heartbeats, and carry
+    only the witnesses found since the previous one; see
+    :func:`_delta_encoder`).  Exits on the ``None`` sentinel or a closed
+    pipe."""
     _apply_memory_limit(memory_limit_mb)
     checkpoints = getattr(worker, "supports_checkpoints", False)
     while True:
@@ -234,9 +286,10 @@ def _worker_loop(worker, conn, memory_limit_mb=None):
         index, payload, resume = message
         try:
             if checkpoints:
-                def emit(snapshot, _index=index):
+                def emit(snapshot, _index=index,
+                         _encode=_delta_encoder(resume)):
                     try:
-                        conn.send((_index, "checkpoint", snapshot))
+                        conn.send((_index, "checkpoint", _encode(snapshot)))
                     except (OSError, ValueError):
                         pass  # parent gone; the terminal send will fail too
                 value = worker(payload, resume=resume, checkpoint=emit)
@@ -442,7 +495,8 @@ class _Pool:
                             while terminal is None:
                                 _, status, value = slot.conn.recv()
                                 if status == "checkpoint":
-                                    state.checkpoint = value
+                                    state.checkpoint = _fold(
+                                        state.checkpoint, value)
                                     state.last_beat = time.monotonic()
                                     if not slot.conn.poll():
                                         break

@@ -3,6 +3,7 @@ invisible in the output — byte-identical stable JSON across ``--jobs``
 settings and across cached/fresh runs."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -16,6 +17,9 @@ from repro.sched import AnalysisRequest, ClouSession
 pytestmark = pytest.mark.slow
 
 SOURCE = openssl_like_source(n_functions=12, seed=23)
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "..")
+HMAC = os.path.join(ROOT, "src", "repro", "bench", "corpus", "crypto",
+                    "hmac.c")
 CONFIG = ClouConfig(timeout_seconds=60.0)
 
 
@@ -43,7 +47,7 @@ class TestCLIAcceptance:
              "--json", "--stats", "--cache-dir", str(tmp_path / "cache"),
              *extra],
             capture_output=True, text=True, env={"PYTHONPATH": "src"},
-            cwd="/root/repo",
+            cwd=ROOT,
         )
 
     @pytest.fixture()
@@ -64,3 +68,14 @@ class TestCLIAcceptance:
         stats_line = parallel.stderr.strip().splitlines()[-1]
         assert "hit rate" in stats_line
         assert "100.0% hit rate" in stats_line
+
+    def test_witness_heavy_jobs2_matches_jobs1(self, tmp_path):
+        # 443 candidates and 5000 witnesses in one item: the pool path
+        # streams a long, witness-bearing checkpoint sequence.
+        serial = self._clou(tmp_path, HMAC, "--engine", "pht",
+                            "--no-cache", "--jobs", "1")
+        parallel = self._clou(tmp_path, HMAC, "--engine", "pht",
+                              "--no-cache", "--jobs", "2")
+        assert serial.returncode == parallel.returncode == 1
+        assert serial.stdout == parallel.stdout
+        json.loads(serial.stdout)
