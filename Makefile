@@ -1,7 +1,8 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test test-all lint bench bench-sched bench-solver \
-	bench-smoke bench-saeg table2 fig8 repair gallery fuzz fuzz-smoke \
+.PHONY: install test test-all lint bench bench-check bench-sched \
+	bench-solver bench-smoke bench-saeg bench-window table2 fig8 repair \
+	gallery fuzz fuzz-smoke \
 	fuzz-contract-smoke contract-matrix fault-smoke fault-sweep \
 	chaos-smoke chaos-sweep engines-smoke serve-smoke bench-e2e-smoke \
 	coverage all
@@ -110,6 +111,14 @@ lint:
 bench:
 	pytest benchmarks/ --benchmark-only -q
 
+# The pytest-benchmark files that drive ClouSession, with timing off:
+# a check, under a minute, that they still run against the session API.
+bench-check:
+	pytest benchmarks/bench_table2_crypto.py benchmarks/bench_table2_litmus.py \
+		benchmarks/bench_ablations.py benchmarks/bench_openssl_scale.py \
+		benchmarks/bench_range_pruning.py benchmarks/bench_repair.py \
+		--benchmark-disable -q
+
 # End-to-end benchmark smoke (see benchmarks/e2e/README.md): every
 # workload reduced, one untraced and one traced pass, with the
 # known-answer and seed-0 digest checks; under 30 s.
@@ -136,6 +145,14 @@ bench-solver:
 # BENCH_saeg.json and fails if the two builds differ.
 bench-saeg:
 	python benchmarks/bench_saeg_build.py
+
+# §6.2.1 windows: `clou analyze --json` wall time per crypto file under
+# its Table-2 engines and fwd, window walks vs distinct (S-AEG, block,
+# bound) keys of one table2-crypto pass; writes BENCH_window.json and
+# fails if the two trees print different bytes.  BASELINE=<checkout of
+# an earlier commit>/src gives the before columns of the committed file.
+bench-window:
+	python benchmarks/bench_window.py $(if $(BASELINE),--baseline $(BASELINE))
 
 # Fast CI check that subrosa's persistent solver and the fresh-solver
 # reference agree on a short require/forbid + enumeration stream.

@@ -18,7 +18,7 @@ import pytest
 
 from repro.bench.suites import by_name
 from repro.clou import ClouConfig
-from repro.sched import ClouSession
+from repro.sched import AnalysisRequest, ClouSession
 from repro.lcm import x86_lcm
 from repro.lcm.taxonomy import TransmitterClass as TC
 from repro.litmus import SpeculationConfig, parse_program
@@ -26,14 +26,18 @@ from repro.litmus import SpeculationConfig, parse_program
 _SESSION = ClouSession(jobs=1, cache=False)
 
 
+def _analyze(source, **kwargs):
+    return _SESSION.analyze(AnalysisRequest.analyze(source, **kwargs))
+
+
 def test_addr_gep_filter_ablation(benchmark):
     case = by_name("pht01")
 
     def run():
-        on = _SESSION.analyze(case.source, engine="pht",
-                            config=ClouConfig(addr_gep_filter=True))
-        off = _SESSION.analyze(case.source, engine="pht",
-                             config=ClouConfig(addr_gep_filter=False))
+        on = _analyze(case.source, engine="pht",
+                      config=ClouConfig(addr_gep_filter=True))
+        off = _analyze(case.source, engine="pht",
+                       config=ClouConfig(addr_gep_filter=False))
         return on, off
 
     on, off = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -47,7 +51,7 @@ def test_window_sweep(benchmark, window):
     config = ClouConfig(window_size=window, rob_size=min(window, 250),
                         timeout_seconds=120.0)
     report = benchmark.pedantic(
-        _SESSION.analyze, args=(case.source,),
+        _analyze, args=(case.source,),
         kwargs={"engine": "pht", "config": config, "name": case.name},
         rounds=1, iterations=1,
     )
@@ -58,10 +62,10 @@ def test_window_too_small_hides_gadget(benchmark):
     case = by_name("pht01")
 
     def run():
-        tiny = _SESSION.analyze(case.source, engine="pht",
-                              config=ClouConfig(window_size=2, rob_size=2))
-        full = _SESSION.analyze(case.source, engine="pht",
-                              config=ClouConfig())
+        tiny = _analyze(case.source, engine="pht",
+                        config=ClouConfig(window_size=2, rob_size=2))
+        full = _analyze(case.source, engine="pht",
+                        config=ClouConfig())
         return tiny, full
 
     tiny, full = benchmark.pedantic(run, rounds=1, iterations=1)

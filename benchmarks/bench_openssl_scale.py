@@ -13,9 +13,13 @@ import pytest
 
 from repro.bench.synthetic import openssl_like_source
 from repro.clou import ClouConfig
-from repro.sched import ClouSession
+from repro.sched import AnalysisRequest, ClouSession
 
 _SESSION = ClouSession(jobs=1, cache=False)
+
+
+def _analyze(source, **kwargs):
+    return _SESSION.analyze(AnalysisRequest.analyze(source, **kwargs))
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +32,7 @@ def test_library_scale_completion_rate(benchmark, openssl_like, engine):
     config = ClouConfig(timeout_seconds=5.0)  # tight per-function budget
 
     report = benchmark.pedantic(
-        _SESSION.analyze, args=(openssl_like,),
+        _analyze, args=(openssl_like,),
         kwargs={"engine": engine, "config": config, "name": "openssl-like"},
         rounds=1, iterations=1,
     )
@@ -53,7 +57,7 @@ def test_gadgets_found_at_scale(benchmark, openssl_like):
 
     config = ClouConfig(timeout_seconds=5.0, classes=("udt", "uct"))
     report = benchmark.pedantic(
-        _SESSION.analyze, args=(openssl_like,),
+        _analyze, args=(openssl_like,),
         kwargs={"engine": "pht", "config": config, "name": "openssl-like"},
         rounds=1, iterations=1,
     )

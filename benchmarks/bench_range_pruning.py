@@ -19,10 +19,15 @@ import pytest
 from repro.bench.suites import litmus_pht
 from repro.bench.synthetic import bounded_corpus
 from repro.clou import ClouConfig
-from repro.sched import ClouSession
+from repro.sched import AnalysisRequest, ClouSession
 from repro.lcm.taxonomy import TransmitterClass as TC
 
 _SESSION = ClouSession(jobs=1, cache=False)
+
+
+def _analyze(source, **kwargs):
+    return _SESSION.analyze(AnalysisRequest.analyze(source, **kwargs))
+
 
 PRUNE_ON = ClouConfig(enable_range_pruning=True)
 PRUNE_OFF = ClouConfig(enable_range_pruning=False)
@@ -49,10 +54,10 @@ def test_litmus_detections_invariant(benchmark, case):
     """Pruning never changes what Table 2 reports on the PHT suite."""
 
     def run():
-        on = _SESSION.analyze(case.source, engine="pht", config=PRUNE_ON,
-                            name=case.name)
-        off = _SESSION.analyze(case.source, engine="pht", config=PRUNE_OFF,
-                             name=case.name)
+        on = _analyze(case.source, engine="pht", config=PRUNE_ON,
+                      name=case.name)
+        off = _analyze(case.source, engine="pht", config=PRUNE_OFF,
+                       name=case.name)
         return on, off
 
     on, off = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -67,10 +72,10 @@ def test_bounded_corpus_pruning_strictly_wins(benchmark):
     def run():
         results = []
         for name, source in corpus:
-            on = _SESSION.analyze(source, engine="pht", config=PRUNE_ON,
-                                name=name)
-            off = _SESSION.analyze(source, engine="pht", config=PRUNE_OFF,
-                                 name=name)
+            on = _analyze(source, engine="pht", config=PRUNE_ON,
+                          name=name)
+            off = _analyze(source, engine="pht", config=PRUNE_OFF,
+                           name=name)
             results.append((name, on, off))
         return results
 
@@ -96,10 +101,10 @@ def test_bounded_corpus_candidate_counts_decrease(benchmark):
     def run():
         pairs = []
         for name, source in corpus:
-            on = _SESSION.analyze(source, engine="pht", config=UDT_ON,
-                                name=name)
-            off = _SESSION.analyze(source, engine="pht", config=UDT_OFF,
-                                 name=name)
+            on = _analyze(source, engine="pht", config=UDT_ON,
+                          name=name)
+            off = _analyze(source, engine="pht", config=UDT_OFF,
+                           name=name)
             pairs.append((name, on, off))
         return pairs
 
@@ -124,10 +129,10 @@ def test_bounded_corpus_engine_speedup(benchmark):
     def run():
         on = off = 0.0
         for name, source in corpus:
-            r_on = _SESSION.analyze(source, engine="pht", config=UDT_ON,
-                                  name=name)
-            r_off = _SESSION.analyze(source, engine="pht", config=UDT_OFF,
-                                   name=name)
+            r_on = _analyze(source, engine="pht", config=UDT_ON,
+                            name=name)
+            r_off = _analyze(source, engine="pht", config=UDT_OFF,
+                             name=name)
             on += sum(f.elapsed for f in r_on.functions)
             off += sum(f.elapsed for f in r_off.functions)
         return on, off

@@ -9,9 +9,14 @@ the classic PHT shape.
 import pytest
 
 from repro.bench.suites import by_name, litmus_fwd, litmus_new, litmus_pht, litmus_stl
-from repro.sched import ClouSession
+from repro.sched import AnalysisRequest, ClouSession
 
 _SESSION = ClouSession(jobs=1, cache=False)
+
+
+def _repair(source, **kwargs):
+    return _SESSION.repair(AnalysisRequest.repair(source, **kwargs))
+
 
 SUITES = {
     "pht": (litmus_pht, "pht"),
@@ -30,8 +35,8 @@ def test_repair_suite(benchmark, suite):
         return [
             result
             for case in cases
-            for result in _SESSION.repair(case.source, engine=engine,
-                                        name=case.name)
+            for result in _repair(case.source, engine=engine,
+                                  name=case.name)
         ]
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -42,7 +47,7 @@ def test_repair_suite(benchmark, suite):
 def test_pht01_needs_exactly_one_fence(benchmark):
     case = by_name("pht01")
     results = benchmark.pedantic(
-        _SESSION.repair, args=(case.source,),
+        _repair, args=(case.source,),
         kwargs={"engine": "pht", "name": case.name},
         rounds=1, iterations=1,
     )
@@ -58,8 +63,8 @@ def test_fence_budget_mean_small(benchmark):
     def run():
         counts = []
         for case in litmus_pht():
-            for result in _SESSION.repair(case.source, engine="pht",
-                                        name=case.name):
+            for result in _repair(case.source, engine="pht",
+                                  name=case.name):
                 if result.fences:
                     counts.append(len(result.fences))
         return counts

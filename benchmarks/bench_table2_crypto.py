@@ -15,10 +15,15 @@ import pytest
 from repro.baselines.bh import bh_analyze_source
 from repro.bench.suites import by_name, crypto_cases
 from repro.bench.table2 import CLOU_TABLE2_CONFIG
-from repro.sched import ClouSession
+from repro.sched import AnalysisRequest, ClouSession
 from repro.lcm.taxonomy import TransmitterClass as TC
 
 _SESSION = ClouSession(jobs=1, cache=False)
+
+
+def _analyze(source, **kwargs):
+    return _SESSION.analyze(AnalysisRequest.analyze(source, **kwargs))
+
 
 CRYPTO = [case.name for case in crypto_cases()]
 
@@ -27,7 +32,7 @@ CRYPTO = [case.name for case in crypto_cases()]
 def test_clou_pht_crypto(benchmark, name):
     case = by_name(name)
     report = benchmark.pedantic(
-        _SESSION.analyze, args=(case.source,),
+        _analyze, args=(case.source,),
         kwargs={"engine": "pht", "config": CLOU_TABLE2_CONFIG, "name": name},
         rounds=1, iterations=1,
     )
@@ -47,7 +52,7 @@ def test_clou_pht_crypto(benchmark, name):
 def test_clou_stl_crypto(benchmark, name):
     case = by_name(name)
     report = benchmark.pedantic(
-        _SESSION.analyze, args=(case.source,),
+        _analyze, args=(case.source,),
         kwargs={"engine": "stl", "config": CLOU_TABLE2_CONFIG, "name": name},
         rounds=1, iterations=1,
     )
@@ -75,7 +80,7 @@ def test_sigalgs_gadget_chain(benchmark):
     transient) -> field dereference transmits."""
     case = by_name("sigalgs")
     report = benchmark.pedantic(
-        _SESSION.analyze, args=(case.source,),
+        _analyze, args=(case.source,),
         kwargs={"engine": "pht", "config": CLOU_TABLE2_CONFIG,
                 "name": "sigalgs"},
         rounds=1, iterations=1,
@@ -93,7 +98,7 @@ def test_sodium_combined_gadget(benchmark):
     """§6.2.3: the v1.1+v4-flavoured UDT class in libsodium-like code."""
     case = by_name("sodium_misc")
     report = benchmark.pedantic(
-        _SESSION.analyze, args=(case.source,),
+        _analyze, args=(case.source,),
         kwargs={"engine": "stl", "config": CLOU_TABLE2_CONFIG,
                 "name": "sodium_misc"},
         rounds=1, iterations=1,

@@ -14,10 +14,15 @@ import pytest
 from repro.baselines.bh import bh_analyze_source
 from repro.bench.suites import litmus_fwd, litmus_new, litmus_pht, litmus_stl
 from repro.bench.table2 import CLOU_TABLE2_CONFIG, _bh_tool_row, _clou_tool_row
-from repro.sched import ClouSession
+from repro.sched import AnalysisRequest, ClouSession
 from repro.lcm.taxonomy import TransmitterClass as TC
 
 _SESSION = ClouSession(jobs=1, cache=False)
+
+
+def _analyze(source, **kwargs):
+    return _SESSION.analyze(AnalysisRequest.analyze(source, **kwargs))
+
 
 SUITES = {
     "pht": (litmus_pht, "pht"),
@@ -39,8 +44,8 @@ def test_clou_litmus_suite(benchmark, suite):
     # Shape: Clou classifies, and every intended-leaky case leaks.
     assert sum(row.counts.values()) > 0
     for case in cases:
-        report = _SESSION.analyze(case.source, engine=engine,
-                                config=CLOU_TABLE2_CONFIG, name=case.name)
+        report = _analyze(case.source, engine=engine,
+                          config=CLOU_TABLE2_CONFIG, name=case.name)
         if case.intended_leaky:
             assert report.leaky, f"{case.name} must be flagged"
         if "udt" in case.intended_classes:
@@ -67,8 +72,8 @@ def test_clou_finds_all_intended_pht_transmitters(benchmark):
     def run():
         found = {}
         for case in litmus_pht():
-            report = _SESSION.analyze(case.source, engine="pht",
-                                    config=CLOU_TABLE2_CONFIG, name=case.name)
+            report = _analyze(case.source, engine="pht",
+                              config=CLOU_TABLE2_CONFIG, name=case.name)
             best = TC.UNIVERSAL_DATA if report.total(TC.UNIVERSAL_DATA) else (
                 TC.UNIVERSAL_CONTROL if report.total(TC.UNIVERSAL_CONTROL)
                 else (TC.DATA if report.total(TC.DATA) else (
@@ -90,7 +95,7 @@ def test_stl13_mislabel_detected(benchmark):
 
     case = by_name("stl13")
     report = benchmark.pedantic(
-        _SESSION.analyze,
+        _analyze,
         args=(case.source,),
         kwargs={"engine": "stl", "config": CLOU_TABLE2_CONFIG,
                 "name": case.name},
@@ -106,8 +111,8 @@ def test_new01_found_by_both_engines(benchmark):
     case = by_name("new01")
 
     def run():
-        clou = _SESSION.analyze(case.source, engine="pht",
-                              config=CLOU_TABLE2_CONFIG, name=case.name)
+        clou = _analyze(case.source, engine="pht",
+                        config=CLOU_TABLE2_CONFIG, name=case.name)
         bh = bh_analyze_source(case.source, engine="pht", name=case.name)
         return clou, bh
 

@@ -243,10 +243,12 @@ def unroll_loops(function: Function, unroll_factor: int = 2,
 
 def _inline_one_call(function: Function, block_index: int, ins_index: int,
                      callee: Function, chain: tuple[str, ...],
-                     inline_id: int) -> None:
-    """Splice ``callee`` in place of the call instruction."""
+                     inline_id: int) -> int:
+    """Splice ``callee`` in place of the call instruction; returns the
+    number of instructions the function grew by."""
     block = function.blocks[block_index]
     call = block.instructions[ins_index]
+    replaced = len(block.instructions)
     suffix = f".i{inline_id}"
 
     callee_labels = {b.label for b in callee.blocks}
@@ -322,39 +324,44 @@ def _inline_one_call(function: Function, block_index: int, ins_index: int,
     block.instructions = block_prefix
 
     function.blocks[block_index + 1:block_index + 1] = [*clones, continuation]
+    return len(block.instructions) - replaced + sum(
+        len(clone.instructions) for clone in clones) + \
+        len(continuation.instructions)
 
 
 def inline_calls(function: Function, module: Module) -> Function:
     """Inline all calls to defined functions; recursion is inlined up to
     RECURSION_INLINE_LIMIT times, after which the residual call is left
-    undefined (havoc)."""
+    undefined (havoc).
+
+    Calls are inlined in block order.  Whether a call is inlined depends
+    only on the call itself, so the scan never revisits what it passed:
+    after a splice the call's block ends in a jump to the callee's entry
+    clone, the next block, where the scan resumes."""
     inline_counter = itertools.count(0)
-    progress = True
-    while progress:
-        progress = False
-        for block_index, block in enumerate(function.blocks):
-            for ins_index, ins in enumerate(block.instructions):
-                if not isinstance(ins, Call):
-                    continue
-                callee = module.functions.get(ins.callee)
-                if callee is None:
-                    continue  # undefined: havoc later
-                chain = getattr(ins, "inline_chain", ())
-                if chain.count(ins.callee) >= RECURSION_INLINE_LIMIT:
-                    continue  # recursion budget exhausted: havoc
-                _inline_one_call(
-                    function, block_index, ins_index, callee,
-                    chain + (ins.callee,), next(inline_counter),
+    count = function.instruction_count()
+    block_index = 0
+    while block_index < len(function.blocks):
+        for ins_index, ins in enumerate(function.blocks[block_index].instructions):
+            if not isinstance(ins, Call):
+                continue
+            callee = module.functions.get(ins.callee)
+            if callee is None:
+                continue  # undefined: havoc later
+            chain = getattr(ins, "inline_chain", ())
+            if chain.count(ins.callee) >= RECURSION_INLINE_LIMIT:
+                continue  # recursion budget exhausted: havoc
+            count += _inline_one_call(
+                function, block_index, ins_index, callee,
+                chain + (ins.callee,), next(inline_counter),
+            )
+            if count > MAX_ACFG_INSTRUCTIONS:
+                raise AnalysisError(
+                    f"{function.name}: A-CFG exceeded instruction budget "
+                    "during inlining"
                 )
-                if function.instruction_count() > MAX_ACFG_INSTRUCTIONS:
-                    raise AnalysisError(
-                        f"{function.name}: A-CFG exceeded instruction budget "
-                        "during inlining"
-                    )
-                progress = True
-                break
-            if progress:
-                break
+            break
+        block_index += 1
     return function
 
 
@@ -389,16 +396,32 @@ def _copy_function(function: Function) -> Function:
     )
 
 
+def _call_closure(module: Module, function_name: str) -> list[str]:
+    """The defined functions reachable from ``function_name`` through
+    calls, itself included."""
+    closure = [function_name]
+    seen = {function_name}
+    for name in closure:
+        for block in module.functions[name].blocks:
+            for ins in block.instructions:
+                if isinstance(ins, Call) and ins.callee not in seen and \
+                        ins.callee in module.functions:
+                    seen.add(ins.callee)
+                    closure.append(ins.callee)
+    return closure
+
+
 def build_acfg(module: Module, function_name: str) -> ACFG:
     """Build the A-CFG of a public function (§5.1): unroll every loop in
     every reachable callee, inline, then unroll the result again (inlined
-    loops arrive pre-summarized, so the final pass is a safety net)."""
+    loops arrive pre-summarized, so the final pass is a safety net).
+    Functions the target never reaches are not summarized."""
     if function_name not in module.functions:
         raise AnalysisError(f"no function named {function_name!r}")
 
     summarized: dict[str, Function] = {}
-    for name, fn in module.functions.items():
-        summarized[name] = unroll_loops(_copy_function(fn))
+    for name in _call_closure(module, function_name):
+        summarized[name] = unroll_loops(_copy_function(module.functions[name]))
     working_module = Module(
         name=module.name,
         functions=summarized,

@@ -150,6 +150,10 @@ class SAEG:
         self._block_loads: dict[str, list[AEGNode]] = {}
         self._block_stores: dict[str, list[AEGNode]] = {}
         self._block_branches: dict[str, list[AEGNode]] = {}
+        # Per block: the blocks reachable through fence-free intermediate
+        # blocks only (fence_free_between), and the memoized windows.
+        self._clear_mask: dict[str, int] = {}
+        self._windows: dict[tuple[str, int], _BlockWindow] = {}
         self.rf_window = rf_window
         self.max_deps_per_temp = max_deps_per_temp
         self._build_nodes()
@@ -239,38 +243,56 @@ class SAEG:
         self._block_bit = {
             label: 1 << i for i, label in enumerate(self._block_order)
         }
+        bit = self._block_bit
+        fenced = self._last_fence
         for label in reversed(self._block_order):
-            mask = self._block_bit[label]
+            mask = bit[label]
+            clear = 0
             for succ in self._successors.get(label, ()):
                 mask |= self._reach_mask[succ]
+                clear |= bit[succ] if fenced[succ] >= 0 \
+                    else bit[succ] | self._clear_mask[succ]
             self._reach_mask[label] = mask
+            self._clear_mask[label] = clear
 
     def window(self, anchor: AEGNode, bound: int) -> "WindowView":
         """The §6.2.1 sliding window of ``anchor``: every node from which
         the anchor is reachable within ``bound`` fetched instructions.
 
+        The reverse walk runs once per (block, bound), from the block's
+        entry (:meth:`_block_window`); an anchor at index ``i`` adds
+        ``i`` to every distance of that walk.  This is exact: minimal
+        exit distances do not depend on the bound, the bound only decides
+        where the walk stops, and a path of at most ``bound - i`` from
+        the block entry is a path of at most ``bound`` from the anchor."""
+        fence = self._last_fence[anchor.block]
+        if fence >= anchor.index:
+            fence = max((node.index
+                         for node in self.by_block[anchor.block][:anchor.index]
+                         if node.is_fence), default=-1)
+        key = (anchor.block, bound)
+        table = self._windows.get(key)
+        if table is None:
+            table = self._windows[key] = self._block_window(*key)
+        return WindowView(self, anchor, bound, fence, table)
+
+    def _block_window(self, label: str, bound: int) -> "_BlockWindow":
+        """The window of the entry of block ``label``.
+
         A path leaves a block only through its last node, so a node's
         distance is its block's *exit* distance (instructions strictly
-        between the block's last node and the anchor) plus the block's
+        between the block's last node and the entry) plus the block's
         suffix after it.  One reverse walk over blocks, in decreasing
         topological position so each block is final when popped, records
         the minimal exit distance and the minimal exit distance along a
-        fence-free path; :class:`WindowView` answers node queries from
-        them arithmetically."""
-        label = anchor.block
-        fence = self._last_fence[label]
-        if fence >= anchor.index:
-            fence = max((node.index
-                         for node in self.by_block[label][:anchor.index]
-                         if node.is_fence), default=-1)
+        fence-free path, and stops extending a block once its exit
+        distance plus its size exceeds ``bound``."""
         exits: dict[str, int] = {}
         clear: dict[str, int] = {}
         blocks: list[str] = []
         position = self._block_position
         heap: list[tuple[int, str]] = []
-        # Entering the anchor's block fetches its prefix before the anchor.
-        through = anchor.index
-        clear_through = through if fence < 0 else None
+        through = clear_through = 0
         while True:
             if through <= bound:
                 for pred in self._predecessors[label]:
@@ -293,8 +315,25 @@ class SAEG:
             clear_through = None
             if self._last_fence[label] < 0 and label in clear:
                 clear_through = clear[label] + size
-        blocks.reverse()
-        return WindowView(self, anchor, bound, fence, blocks, exits, clear)
+        kinds: tuple[list, list, list] = ([], [], [])
+        for label in reversed(blocks):  # position order
+            last = len(self.by_block[label]) - 1
+            exit_distance = exits[label]
+            clear_exit = clear.get(label)
+            fence = self._last_fence[label]
+            for found, nodes in zip(kinds, (self._block_branches[label],
+                                            self._block_loads[label],
+                                            self._block_stores[label])):
+                for node in nodes:
+                    suffix = last - node.index
+                    if exit_distance + suffix > bound:
+                        continue
+                    free = None
+                    if clear_exit is not None and fence <= node.index and \
+                            clear_exit + suffix <= bound:
+                        free = clear_exit + suffix
+                    found.append((node, exit_distance + suffix, free))
+        return _BlockWindow(exits, clear, *kinds)
 
     # ------------------------------------------------------------------
     # Ordering and distances
@@ -312,44 +351,9 @@ class SAEG:
     def co_executable(self, a: AEGNode, b: AEGNode) -> bool:
         return a.block == b.block or self.before(a, b) or self.before(b, a)
 
-    def min_distance(self, a: AEGNode, b: AEGNode) -> int | None:
-        """Minimum number of fetched instructions strictly between a and b
-        along any path (None if b never follows a)."""
-        if not self.before(a, b):
-            return None
-        if a.block == b.block:
-            return b.index - a.index - 1
-        suffix = len(self.by_block[a.block]) - a.index - 1
-        best = self._min_block_distance(a.block, b.block)
-        if best is None:
-            return None
-        return suffix + best + b.index
-
-    def _min_block_distance(self, src: str, dst: str) -> int | None:
-        """Min instructions in strictly-intermediate blocks on src->dst paths."""
-        best: dict[str, int | None] = {}
-        for label in reversed(self._block_order):
-            if label == dst:
-                best[label] = 0
-                continue
-            candidates = [
-                best[succ] for succ in self._successors.get(label, ())
-                if best.get(succ) is not None
-            ]
-            if not candidates:
-                best[label] = None
-                continue
-            cost = 0 if label == src else len(self.by_block[label])
-            # cost of this block's instructions is paid when passing
-            # through it (not for the endpoints).
-            if label == src:
-                best[label] = min(candidates)
-            else:
-                best[label] = cost + min(candidates)
-        return best.get(src)
-
     def fence_free_between(self, a: AEGNode, b: AEGNode) -> bool:
-        """Is there a path from a to b with no lfence strictly between?"""
+        """Is there a path from a to b, of any length, with no lfence
+        strictly between?"""
         if not self.before(a, b):
             return False
         if a.block == b.block:
@@ -359,26 +363,9 @@ class SAEG:
             )
         if self._last_fence[a.block] > a.index:
             return False
-        prefix_clear = not any(
-            node.is_fence for node in self.by_block[b.block][:b.index]
-        )
-        if not prefix_clear:
+        if any(node.is_fence for node in self.by_block[b.block][:b.index]):
             return False
-        # DAG search through fence-free intermediate blocks.
-        fenced = self._last_fence
-        target = b.block
-        seen = set()
-        stack = [a.block]
-        while stack:
-            label = stack.pop()
-            for succ in self._successors.get(label, ()):
-                if succ == target:
-                    return True
-                if succ in seen or fenced[succ] >= 0:
-                    continue
-                seen.add(succ)
-                stack.append(succ)
-        return False
+        return bool(self._clear_mask[a.block] & self._block_bit[b.block])
 
     # ------------------------------------------------------------------
     # Dataflow: deps and taint
@@ -797,6 +784,20 @@ class SAEG:
         return solver.solve() is not None
 
 
+class _BlockWindow(NamedTuple):
+    """The window of one block's entry within one bound
+    (:meth:`SAEG._block_window`): per block, the minimal exit distance
+    and the minimal fence-free exit distance, and per kind, in position
+    order, ``(node, distance, fence-free distance or None)`` for every
+    branch, load and store within the bound."""
+
+    exits: dict[str, int]
+    clear: dict[str, int]
+    branches: list[tuple[AEGNode, int, int | None]]
+    loads: list[tuple[AEGNode, int, int | None]]
+    stores: list[tuple[AEGNode, int, int | None]]
+
+
 class WindowView:
     """The §6.2.1 sliding window of one anchor (see :meth:`SAEG.window`).
 
@@ -804,33 +805,33 @@ class WindowView:
     strictly between n and the anchor (None if the anchor is not
     reachable within the bound); ``fence_free(n)`` is True when some
     path of at most ``bound`` instructions from n to the anchor carries
-    no intervening lfence.  Both are arithmetic on the block's exit
-    distances, its size, the node's index and the block's last fence.
+    no intervening lfence.  Both are arithmetic on the anchor block's
+    :class:`_BlockWindow`, the anchor's index, the node's block size and
+    index, and the last fences.  The fence-free distances of the table
+    hold only when no lfence precedes the anchor in its block.
     """
 
-    __slots__ = ("anchor", "bound", "_saeg", "_fence", "_blocks",
-                 "_exits", "_clear")
+    __slots__ = ("anchor", "bound", "_saeg", "_fence", "_table")
 
     def __init__(self, saeg: SAEG, anchor: AEGNode, bound: int, fence: int,
-                 blocks: list[str], exits: dict[str, int],
-                 clear: dict[str, int]):
+                 table: _BlockWindow):
         self.anchor = anchor
         self.bound = bound
         self._saeg = saeg
         self._fence = fence      # last lfence before the anchor, or -1
-        self._blocks = blocks    # blocks with an exit, in position order
-        self._exits = exits      # block -> minimal exit distance
-        self._clear = clear      # block -> minimal fence-free exit distance
+        self._table = table      # the window of the anchor block's entry
 
     def _suffix(self, node: AEGNode) -> int:
-        """Instructions after ``node`` in its block."""
-        return len(self._saeg.by_block[node.block]) - 1 - node.index
+        """Instructions after ``node`` in its block, plus the anchor's
+        prefix in its own block."""
+        return len(self._saeg.by_block[node.block]) - 1 - node.index + \
+            self.anchor.index
 
     def distance(self, node: AEGNode) -> int | None:
         if node.block == self.anchor.block:
             distance = self.anchor.index - node.index - 1
         else:
-            exit_distance = self._exits.get(node.block)
+            exit_distance = self._table.exits.get(node.block)
             if exit_distance is None:
                 return None
             distance = exit_distance + self._suffix(node)
@@ -843,32 +844,52 @@ class WindowView:
         if node.block == self.anchor.block:
             return self._fence <= node.index and \
                 self.distance(node) is not None
-        exit_distance = self._clear.get(node.block)
+        if self._fence >= 0:
+            return False
+        exit_distance = self._table.clear.get(node.block)
         return exit_distance is not None and \
             self._saeg._last_fence[node.block] <= node.index and \
             exit_distance + self._suffix(node) <= self.bound
 
-    def _within(self, kinds: dict[str, list[AEGNode]],
-                bound: int) -> list[AEGNode]:
-        """The nodes of ``kinds`` within ``bound``, in position order."""
+    def _within(self, entries: list[tuple[AEGNode, int, int | None]],
+                kinds: dict[str, list[AEGNode]], bound: int,
+                fence_free: bool) -> list[AEGNode]:
+        """The nodes of one kind within ``bound`` (and, with
+        ``fence_free``, on a fence-free path within the window's
+        bound), in position order."""
         bound = min(bound, self.bound)
-        by_block = self._saeg.by_block
-        found = []
-        for label in self._blocks:
-            # Index j is in the window iff exit + (size - 1 - j) <= bound.
-            first = self._exits[label] + len(by_block[label]) - 1 - bound
-            found.extend(node for node in kinds[label] if node.index >= first)
         anchor = self.anchor
+        limit = bound - anchor.index
+        if not fence_free:
+            found = [node for node, distance, _ in entries
+                     if distance <= limit]
+        elif self._fence < 0:
+            clear_limit = self.bound - anchor.index
+            found = [node for node, distance, free in entries
+                     if distance <= limit and free is not None
+                     and free <= clear_limit]
+        else:
+            found = []
+        # Index j before the anchor is within iff anchor - 1 - j <= bound,
+        # and fence-free iff no lfence lies after it.
         first = anchor.index - 1 - bound
+        if fence_free:
+            first = max(first, self._fence)
         found.extend(node for node in kinds[anchor.block]
                      if first <= node.index < anchor.index)
         return found
 
-    def branches_within(self, bound: int) -> list[AEGNode]:
-        return self._within(self._saeg._block_branches, bound)
+    def branches_within(self, bound: int,
+                        fence_free: bool = False) -> list[AEGNode]:
+        return self._within(self._table.branches,
+                            self._saeg._block_branches, bound, fence_free)
 
-    def loads_within(self, bound: int) -> list[AEGNode]:
-        return self._within(self._saeg._block_loads, bound)
+    def loads_within(self, bound: int,
+                     fence_free: bool = False) -> list[AEGNode]:
+        return self._within(self._table.loads,
+                            self._saeg._block_loads, bound, fence_free)
 
-    def stores_within(self, bound: int) -> list[AEGNode]:
-        return self._within(self._saeg._block_stores, bound)
+    def stores_within(self, bound: int,
+                      fence_free: bool = False) -> list[AEGNode]:
+        return self._within(self._table.stores,
+                            self._saeg._block_stores, bound, fence_free)

@@ -10,8 +10,9 @@ Scaling controls follow §6.2.1:
 
 1. a sliding window — for each candidate transmitter only the
    instructions that can reach it within ``window_size`` instructions
-   are considered (one block-granular reverse walk per transmitter,
-   see :meth:`repro.clou.aeg.SAEG.window`);
+   are considered (one block-granular reverse walk per block and
+   bound, shared by every anchor in the block, see
+   :meth:`repro.clou.aeg.SAEG.window`);
 2. at most one speculative write in a pattern (``max_store_hops``);
 3. universal patterns require a *transient* access instruction; a
    universal chain whose access commits is classified as a DT/CT.
@@ -461,7 +462,13 @@ class DetectionEngine:
                         want: set[str], report: FunctionReport,
                         budget: _Budget) -> None:
         """access -ctrl-> transmit patterns: the transmitter leaks the
-        outcome of a branch on the access's loaded value."""
+        outcome of a branch on the access's loaded value, under the
+        first primitive that makes the transmitter transient."""
+        for primitive, window_start in primitives:
+            if self._is_transient(transmit, primitive, window_start, view):
+                break
+        else:
+            return
         for branch in self._branches_in(view):
             if budget.check():
                 return
@@ -471,66 +478,60 @@ class DetectionEngine:
             # σ-compatibility of branch and transmitter (Fig. 7).
             if not self.aeg.realizable([branch, transmit]):
                 continue
-            for primitive, window_start in primitives:
-                transmit_transient = self._is_transient(
-                    transmit, primitive, window_start, view)
-                if not transmit_transient:
+            for dep in cond_deps:
+                if dep.store_hops > self.config.max_store_hops:
                     continue
-                for dep in cond_deps:
-                    if dep.store_hops > self.config.max_store_hops:
-                        continue
-                    access = self.aeg.node_of(dep.source)
-                    access_transient = self._is_transient(
-                        access, primitive, window_start, view)
-                    uct_wanted = "uct" in want
-                    if uct_wanted and self._access_provably_bounded(access):
-                        report.pruned += 1
-                        uct_wanted = False
-                    if uct_wanted:
-                        reported = False
-                        for index_dep in self.aeg.address_deps(access):
-                            if not self.universal_first_hop_ok(index_dep):
-                                continue
-                            index = self.aeg.node_of(index_dep.source)
-                            if index.nid == access.nid:
-                                continue
-                            if not self.aeg.before(index, access):
-                                continue
-                            if not self._index_attacker_controlled(index):
-                                continue
-                            if self.config.require_transient_access and \
-                                    not access_transient:
-                                continue
-                            report.witnesses.append(ClouWitness(
-                                engine=self.name,
-                                klass=TransmitterClass.UNIVERSAL_CONTROL,
-                                transmit=self._ref(transmit),
-                                primitive=self._ref(primitive),
-                                access=self._ref(access),
-                                index=self._ref(index),
-                                window_start=self._ref(window_start),
-                                transient_transmit=transmit_transient,
-                                transient_access=access_transient,
-                                store_hops=dep.store_hops + index_dep.store_hops,
-                            ))
-                            reported = True
-                            break
-                        if reported:
-                            break
-                    if "ct" in want:
+                access = self.aeg.node_of(dep.source)
+                access_transient = self._is_transient(
+                    access, primitive, window_start, view)
+                uct_wanted = "uct" in want
+                if uct_wanted and self._access_provably_bounded(access):
+                    report.pruned += 1
+                    uct_wanted = False
+                if uct_wanted:
+                    reported = False
+                    for index_dep in self.aeg.address_deps(access):
+                        if not self.universal_first_hop_ok(index_dep):
+                            continue
+                        index = self.aeg.node_of(index_dep.source)
+                        if index.nid == access.nid:
+                            continue
+                        if not self.aeg.before(index, access):
+                            continue
+                        if not self._index_attacker_controlled(index):
+                            continue
+                        if self.config.require_transient_access and \
+                                not access_transient:
+                            continue
                         report.witnesses.append(ClouWitness(
                             engine=self.name,
-                            klass=TransmitterClass.CONTROL,
+                            klass=TransmitterClass.UNIVERSAL_CONTROL,
                             transmit=self._ref(transmit),
                             primitive=self._ref(primitive),
                             access=self._ref(access),
+                            index=self._ref(index),
                             window_start=self._ref(window_start),
-                            transient_transmit=transmit_transient,
+                            transient_transmit=True,
                             transient_access=access_transient,
-                            store_hops=dep.store_hops,
+                            store_hops=dep.store_hops + index_dep.store_hops,
                         ))
+                        reported = True
                         break
-                break
+                    if reported:
+                        break
+                if "ct" in want:
+                    report.witnesses.append(ClouWitness(
+                        engine=self.name,
+                        klass=TransmitterClass.CONTROL,
+                        transmit=self._ref(transmit),
+                        primitive=self._ref(primitive),
+                        access=self._ref(access),
+                        window_start=self._ref(window_start),
+                        transient_transmit=True,
+                        transient_access=access_transient,
+                        store_hops=dep.store_hops,
+                    ))
+                    break
 
     # -- helpers ---------------------------------------------------------------
 
@@ -651,15 +652,9 @@ class ClouPHT(DetectionEngine):
 
     def speculation_sources(self, transmit: AEGNode, view: WindowView
                             ) -> list[tuple[AEGNode, AEGNode | None]]:
-        sources = []
-        for branch in self._branches_in(view):
-            distance = view.distance(branch)
-            if distance is None or distance > self.config.rob_size:
-                continue
-            if not view.fence_free(branch):
-                continue
-            sources.append((branch, None))
-        return sources
+        bound = min(self.config.window_size, self.config.rob_size)
+        return [(branch, None)
+                for branch in view.branches_within(bound, fence_free=True)]
 
     def universal_first_hop_ok(self, dep: Dep) -> bool:
         # The addr_gep filter: base pointers stored in memory are not
@@ -695,18 +690,15 @@ class ClouSTL(DetectionEngine):
             return bypassable  # no store can be in flight
         for load in self.aeg.loads():
             view = self.aeg.window(load, self.config.lsq_size)
-            best: AEGNode | None = None
-            for node in view.stores_within(self.config.lsq_size):
-                if not view.fence_free(node):
-                    continue
-                if not self.aeg.alias.may_alias(
+            # Stores come in position order: keep the latest.
+            for node in reversed(view.stores_within(self.config.lsq_size,
+                                                    fence_free=True)):
+                if self.aeg.alias.may_alias(
                     node.instruction.pointer, load.instruction.pointer,
                     transient=self.config.assume_alias_prediction,
                 ):
-                    continue
-                best = node  # stores come in position order: keep the latest
-            if best is not None:
-                bypassable[load.nid] = best
+                    bypassable[load.nid] = node
+                    break
         return bypassable
 
     def speculation_sources(self, transmit: AEGNode, view: WindowView
@@ -715,13 +707,10 @@ class ClouSTL(DetectionEngine):
         at the bypassing load.  Any bypassable load ahead of the
         transmitter (within the ROB) opens a window over it."""
         sources = []
-        for node in view.loads_within(self.config.rob_size):
+        for node in view.loads_within(self.config.rob_size, fence_free=True):
             store = self._bypassable.get(node.nid)
-            if store is None:
-                continue
-            if not view.fence_free(node):
-                continue
-            sources.append((store, node))
+            if store is not None:
+                sources.append((store, node))
         return sources
 
     def universal_first_hop_ok(self, dep: Dep) -> bool:
@@ -772,6 +761,7 @@ class ClouFWD(DetectionEngine):
     def __init__(self, aeg: SAEG, config: ClouConfig = CLOU_DEFAULT_CONFIG):
         super().__init__(aeg, config)
         self._corruptors, self._pruned_oob = self._compute_corruptors()
+        self._pairs: dict[int, list] = {}
 
     def _compute_corruptors(self):
         """(store, guard branches, oob) triples: transient stores whose
@@ -784,15 +774,14 @@ class ClouFWD(DetectionEngine):
             ranges = IntervalAnalysis(self.aeg.function)
         corruptors = []
         pruned = 0
-        branches = self.aeg.branches()
+        rob = self.config.rob_size
         for store in self.aeg.stores():
+            # The shortest branch-to-store path must fit the ROB; some
+            # path, not necessarily that one, must be fence-free.
             guards = tuple(
-                branch for branch in branches
-                if self.aeg.before(branch, store)
-                and (distance := self.aeg.min_distance(branch, store))
-                is not None
-                and distance <= self.config.rob_size
-                and self.aeg.fence_free_between(branch, store)
+                branch
+                for branch in self.aeg.window(store, rob).branches_within(rob)
+                if self.aeg.fence_free_between(branch, store)
             )
             if not guards:
                 continue  # never executes transiently
@@ -866,15 +855,15 @@ class ClouFWD(DetectionEngine):
         """Corrupting (store, guards, oob) triples whose forward window
         covers ``access``: the store is earlier, still in the store
         queue (within ``lsq_size``), not fenced off, and — in forward
-        mode — architecturally possibly same-address."""
-        pairs = []
+        mode — architecturally possibly same-address.  Memoized per
+        access: the result depends on nothing else."""
+        pairs = self._pairs.get(access.nid)
+        if pairs is not None:
+            return pairs
+        view = self.aeg.window(access, self.config.lsq_size)
+        pairs = self._pairs[access.nid] = []
         for store, guards, oob in self._corruptors:
-            if store.nid == access.nid:
-                continue
-            if not self.aeg.before(store, access):
-                continue
-            distance = self.aeg.min_distance(store, access)
-            if distance is None or distance > self.config.lsq_size:
+            if not view.contains(store):
                 continue
             if not self.aeg.fence_free_between(store, access):
                 continue
@@ -1012,15 +1001,13 @@ class ClouPSF(ClouSTL):
             return pairs  # no store can be in flight
         for load in self.aeg.loads():
             view = self.aeg.window(load, self.config.lsq_size)
-            best: AEGNode | None = None
-            for node in view.stores_within(self.config.lsq_size):
-                if not view.fence_free(node):
-                    continue
+            # Stores come in position order: keep the latest.
+            for node in reversed(view.stores_within(self.config.lsq_size,
+                                                    fence_free=True)):
+                # A MUST pair is a correct forward: STL's case, not PSF's.
                 if self.aeg.alias.alias(
                     node.instruction.pointer, load.instruction.pointer,
-                ) is AliasResult.MUST:
-                    continue  # a correct forward: STL's case, not PSF's
-                best = node  # stores come in position order: keep the latest
-            if best is not None:
-                pairs[load.nid] = best
+                ) is not AliasResult.MUST:
+                    pairs[load.nid] = node
+                    break
         return pairs

@@ -163,3 +163,78 @@ uint64_t f(uint64_t n) {
         module = compile_c("void f(void) {}")
         with pytest.raises(AnalysisError, match="no function"):
             build_acfg(module, "nope")
+
+
+def _too_many_loops(count=65):
+    """A function with more sequential loops than loop summarization
+    handles (``unroll_loops``' 64 iterations)."""
+    loops = "".join(
+        f"    for (uint64_t i{k} = 0; i{k} < n; i{k}++) {{ acc += i{k}; }}\n"
+        for k in range(count))
+    return ("static uint64_t unsummarizable(uint64_t n) {\n"
+            "    uint64_t acc = 0;\n" + loops + "    return acc;\n}\n")
+
+
+class TestCallClosure:
+    def test_uncalled_function_does_not_fail_target(self):
+        """Only the target's call-graph closure is summarized: a function
+        it never calls cannot make its A-CFG fail."""
+        module = compile_c(_too_many_loops() + """
+uint64_t f(uint64_t x) { return x + 1; }
+uint64_t g(uint64_t n) { return unsummarizable(n); }
+""")
+        assert build_acfg(module, "f").function.is_dag()
+        for name in ("unsummarizable", "g"):
+            with pytest.raises(AnalysisError, match="too complex"):
+                build_acfg(module, name)
+
+
+def _inline_restarting(function, module):
+    """Reference inliner: after every splice, rescan from block 0."""
+    from repro.clou.acfg import RECURSION_INLINE_LIMIT, _inline_one_call
+
+    counter = 0
+    progress = True
+    while progress:
+        progress = False
+        for block_index, block in enumerate(function.blocks):
+            for ins_index, ins in enumerate(block.instructions):
+                callee = module.functions.get(getattr(ins, "callee", None))
+                if not isinstance(ins, Call) or callee is None:
+                    continue
+                chain = getattr(ins, "inline_chain", ())
+                if chain.count(ins.callee) >= RECURSION_INLINE_LIMIT:
+                    continue
+                _inline_one_call(function, block_index, ins_index, callee,
+                                 chain + (ins.callee,), counter)
+                counter += 1
+                progress = True
+                break
+            if progress:
+                break
+    return function
+
+
+@pytest.mark.parametrize("case", ["chacha20", "hmac", "secretbox"])
+def test_inlining_resumes_like_a_full_rescan(case):
+    """``inline_calls`` resumes its scan after each splice; the result,
+    labels and instruction order included, equals rescanning from the
+    first block every time."""
+    from repro.bench.suites import by_name
+    from repro.clou import inline_calls
+
+    def render(function):
+        return [(block.label, [str(ins) for ins in block.instructions])
+                for block in function.blocks]
+
+    module = compile_c(by_name(case).source)
+    for function in module.public_functions():
+        summarized = Module(name=module.name, functions={
+            name: unroll_loops(_copy_function(fn))
+            for name, fn in module.functions.items()},
+            globals=module.globals, structs=module.structs)
+        fresh = _copy_function(summarized.functions[function.name])
+        reference = _copy_function(summarized.functions[function.name])
+        assert render(inline_calls(fresh, summarized)) == \
+            render(_inline_restarting(reference, summarized))
+        assert fresh.instruction_count() == reference.instruction_count()

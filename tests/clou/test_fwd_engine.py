@@ -179,3 +179,20 @@ class TestDeterminism:
         uninterrupted = run(collect=snapshots.append)
         resumed = run(resume=snapshots[len(snapshots) // 2])
         assert resumed.pruned == uninterrupted.pruned
+
+
+class TestScale:
+    @pytest.mark.slow
+    def test_donna_completes(self):
+        """FWD answers its distance queries from the shared windows and
+        its fence-free queries from bitsets, so curve25519-donna (17k
+        S-AEG nodes) runs to completion: 3 DT and no universal
+        transmitter, as the ROADMAP measured with the per-pair queries."""
+        report = _analyze("donna")
+        (function,) = report.functions
+        assert function.complete
+        counts = {klass: sum(w.klass.value == klass
+                             for w in function.transmitters())
+                  for klass in ("DT", "CT", "UDT", "UCT")}
+        assert counts["DT"] == 3
+        assert counts["UDT"] == counts["UCT"] == 0
