@@ -1,7 +1,8 @@
 # Convenience targets for the reproduction.
 
 .PHONY: install test test-all lint bench bench-check bench-sched \
-	bench-solver bench-smoke bench-saeg bench-window table2 fig8 repair \
+	bench-solver bench-smoke bench-saeg bench-window json-identity table2 \
+	fig8 repair \
 	gallery fuzz fuzz-smoke \
 	fuzz-contract-smoke contract-matrix fault-smoke fault-sweep \
 	chaos-smoke chaos-sweep engines-smoke serve-smoke bench-e2e-smoke \
@@ -153,6 +154,12 @@ bench-saeg:
 # an earlier commit>/src gives the before columns of the committed file.
 bench-window:
 	python benchmarks/bench_window.py $(if $(BASELINE),--baseline $(BASELINE))
+
+# `clou analyze --engine all --json` over the whole corpus, default config
+# and four variants, byte-compared (stdout and exit code) against the
+# source tree BASELINE; exits 1 on any difference.
+json-identity:
+	python benchmarks/json_identity.py --baseline $(BASELINE)
 
 # Fast CI check that subrosa's persistent solver and the fresh-solver
 # reference agree on a short require/forbid + enumeration stream.

@@ -76,10 +76,6 @@ class LintReport:
         """Findings at CT or above — the actual constant-time breaks."""
         return [f for f in self.findings if f.severity.severity >= 1]
 
-    def at_or_above(self, klass: TransmitterClass) -> list[LintFinding]:
-        return [f for f in self.findings
-                if f.severity.severity >= klass.severity]
-
     def summary(self) -> str:
         counts = self.counts()
         rendered = " ".join(f"{name}={counts[name]}"

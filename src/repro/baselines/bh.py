@@ -73,14 +73,6 @@ class BHReport:
                 f"{self.paths_explored} paths, {self.elapsed:.2f}s{status}")
 
 
-class _SymState:
-    """Symbolic state: which temps/stack slots hold transient values."""
-
-    def __init__(self):
-        self.transient_temps: set[str] = set()
-        self.transient_memory: set[str] = set()  # provenance strings
-
-
 class BHAnalyzer:
     """Path-by-path relational symbolic exploration of one function."""
 

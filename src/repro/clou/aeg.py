@@ -5,8 +5,9 @@ function.  Nodes are the A-CFG's instructions; the symbolic edge classes
 of the paper map onto:
 
 - control flow (po/tfo): the block DAG, whose reachability bitsets
-  answer the Fig. 7 realizability check (path-condition variables are
-  still encoded by :meth:`SAEG.path_constraints`);
+  answer the Fig. 7 realizability check exactly (the SAT encoding of
+  the path conditions is kept as a differential reference in
+  :mod:`repro.fuzz.oracles`);
 - dep (addr/addr_gep/data/ctrl): register dataflow, extended through
   memory with ``(data.rf)*`` chains (§5.3);
 - com (rf): store→load pairs under the alias analysis of §5.2;
@@ -670,12 +671,6 @@ class SAEG:
             return self.deps.get(pointer.name, ())
         return ()
 
-    def data_deps(self, node: AEGNode) -> tuple[Dep, ...]:
-        ins = node.instruction
-        if isinstance(ins, Store) and isinstance(ins.value, Temp):
-            return self.deps.get(ins.value.name, ())
-        return ()
-
     def branch_cond_deps(self, node: AEGNode) -> tuple[Dep, ...]:
         ins = node.instruction
         if isinstance(ins, Branch) and isinstance(ins.cond, Temp):
@@ -709,58 +704,16 @@ class SAEG:
     # Realizability (Fig. 7)
     # ------------------------------------------------------------------
 
-    def path_constraints(self):
-        """Encode architectural path conditions as boolean constraints:
-        one variable per block (x_<label> — "block executes"), entry
-        forced, branch blocks choose exactly one successor, and a block
-        executes iff some predecessor edge into it is taken.
-
-        Returns (encoder, cnf) — callers add query clauses and solve.
-        This is the Fig. 7 machinery: edge labels like po[x1] correspond
-        to the x_<label> variables here.
-        """
-        from repro.solver import TseitinEncoder, conj, disj, exactly_one, iff, var
-
-        encoder = TseitinEncoder()
-        entry = self.function.entry.label
-        encoder.assert_expr(var(f"x_{entry}"))
-        incoming: dict[str, list] = {}
-        for block in self.function.blocks:
-            successors = block.successors()
-            executed = var(f"x_{block.label}")
-            if len(successors) == 2:
-                then_edge = var(f"e_{block.label}->{successors[0]}#0")
-                else_edge = var(f"e_{block.label}->{successors[1]}#1")
-                encoder.assert_expr(iff(executed, disj(then_edge, else_edge)))
-                encoder.assert_expr(
-                    executed >> ~conj(then_edge, else_edge)
-                )
-                incoming.setdefault(successors[0], []).append(then_edge)
-                incoming.setdefault(successors[1], []).append(else_edge)
-            elif len(successors) == 1:
-                edge = var(f"e_{block.label}->{successors[0]}#0")
-                encoder.assert_expr(iff(executed, edge))
-                incoming.setdefault(successors[0], []).append(edge)
-        for block in self.function.blocks:
-            if block.label == entry:
-                continue
-            executed = var(f"x_{block.label}")
-            edges = incoming.get(block.label, [])
-            if edges:
-                encoder.assert_expr(iff(executed, disj(*edges)))
-            else:
-                encoder.assert_expr(~executed)
-        return encoder
-
     def realizable(self, nodes: list[AEGNode]) -> bool:
         """Can all given nodes execute in ONE architectural path (Fig. 7)?
 
-        Every model of :meth:`path_constraints` is one path rooted at the
-        entry (the entry is forced, an executed block takes exactly one
-        successor, and a non-entry block executes iff an incoming edge is
-        taken), and the A-CFG is a DAG.  So the nodes' blocks, sorted by
-        topological position, must form a reachability chain that starts
-        at the entry: O(k) bitset tests, exact, never undecided."""
+        Every model of the Fig. 7 path constraints is one path rooted at
+        the entry (the entry is forced, an executed block takes exactly
+        one successor, and a non-entry block executes iff an incoming
+        edge is taken), and the A-CFG is a DAG.  So the nodes' blocks,
+        sorted by topological position, must form a reachability chain
+        that starts at the entry: O(k) bitset tests, exact, never
+        undecided."""
         position = self._block_position
         current = self._reach_mask[self.function.entry.label]
         for label in sorted({node.block for node in nodes},
@@ -769,19 +722,6 @@ class SAEG:
                 return False
             current = self._reach_mask[label]
         return True
-
-    def realizable_fresh(self, nodes: list[AEGNode]) -> bool:
-        """SAT reference for :meth:`realizable`: encode the path
-        constraints and solve them with a throwaway solver.  Kept for
-        differential testing (the incremental-vs-fresh fuzz oracle and
-        the realizability tests); engines use the chain check."""
-        from repro.solver import SatSolver, var
-
-        encoder = self.path_constraints()
-        for node in nodes:
-            encoder.assert_expr(var(f"x_{node.block}"))
-        solver = SatSolver.from_cnf(encoder.cnf)
-        return solver.solve() is not None
 
 
 class _BlockWindow(NamedTuple):

@@ -4,7 +4,10 @@ Clou-PHT hunts Spectre v1/v1.1 patterns (speculation primitive: a
 conditional branch steering a transient window); Clou-STL hunts Spectre
 v4 patterns (speculation primitive: store-to-load forwarding past an
 unresolved store).  Both look for violations of rf-non-interference and
-then classify candidate transmitters by Table 1.
+then classify candidate transmitters by Table 1.  Clou-FWD (a transient
+store forwarding wrong data) and Clou-PSF (a load wrongly paired with
+an in-flight store) run the same search: every engine is the one
+skeleton of :class:`DetectionEngine` with its primitive plugged in.
 
 Scaling controls follow §6.2.1:
 
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 from repro.clou.aeg import AEGNode, Dep, SAEG, WindowView
 from repro.clou.alias import AliasResult
@@ -232,7 +236,23 @@ def engine_names() -> tuple[str, ...]:
 
 
 class DetectionEngine:
-    """Shared machinery for the detection engines."""
+    """The one rf-non-interference search every engine runs (§5.3).
+
+    The base class owns the loops: over the memory nodes as candidate
+    transmitters (:meth:`_search`), over each transmitter's address deps
+    (:meth:`_search_transmit`), and over the branches of its window and
+    their condition deps (:meth:`_search_control`).  An engine plugs in
+    its speculation primitive through three hooks:
+
+    - :meth:`speculation_sources`: the (primitive, window start) pairs
+      that can make a transmitter transient; none skips it;
+    - :meth:`_classify_data`: one access -addr-> transmit chain;
+    - :meth:`_classify_control`: one access -ctrl-> branch dependency of
+      a branch in the transmitter's window.
+
+    The default classifiers are the Table 1 classification PHT and STL
+    share; FWD replaces both.
+    """
 
     name = "base"
     # Metadata for ``clou analyze --list-engines`` and the DESIGN.md
@@ -245,8 +265,6 @@ class DetectionEngine:
     def __init__(self, aeg: SAEG, config: ClouConfig = CLOU_DEFAULT_CONFIG):
         self.aeg = aeg
         self.config = config
-        self._ranges = None     # lazily-built IntervalAnalysis
-        self._ranges_built = False
         self._refs: dict[int, NodeRef] = {}
 
     def _ref(self, node: AEGNode | None) -> NodeRef | None:
@@ -259,23 +277,41 @@ class DetectionEngine:
             ref = self._refs[node.nid] = NodeRef.of(node, self.aeg)
         return ref
 
+    def _witness(self, report: FunctionReport, klass: TransmitterClass, *,
+                 transmit: AEGNode, primitive: AEGNode, access: AEGNode,
+                 window_start: AEGNode | None, store_hops: int,
+                 index: AEGNode | None = None,
+                 transient_transmit: bool = True,
+                 transient_access: bool = True) -> None:
+        report.witnesses.append(ClouWitness(
+            engine=self.name,
+            klass=klass,
+            transmit=self._ref(transmit),
+            primitive=self._ref(primitive),
+            access=self._ref(access),
+            index=None if index is None else self._ref(index),
+            window_start=self._ref(window_start),
+            transient_transmit=transient_transmit,
+            transient_access=transient_access,
+            store_hops=store_hops,
+        ))
+
     # -- per-engine hooks --------------------------------------------------
 
     def prunes_ranges(self) -> bool:
-        """Does this engine apply interval range pruning?  (PHT only:
-        under STL the bypassed store invalidates slot-range reasoning.)"""
+        """Does this engine prune universal chains whose *access* is
+        provably in bounds?  (PHT only: under STL the bypassed store
+        invalidates slot-range reasoning, and under FWD an in-bounds
+        load can still read a corrupted slot.)"""
         return False
 
-    @property
+    @cached_property
     def ranges(self):
-        """The engine's IntervalAnalysis, built on first use."""
-        if not self._ranges_built:
-            self._ranges_built = True
-            if self.prunes_ranges():
-                from repro.analysis.interval import IntervalAnalysis
+        """The function's IntervalAnalysis, built on first use: PHT's
+        load-side and FWD's store-side range pruning."""
+        from repro.analysis.interval import IntervalAnalysis
 
-                self._ranges = IntervalAnalysis(self.aeg.function)
-        return self._ranges
+        return IntervalAnalysis(self.aeg.function)
 
     def speculation_sources(self, transmit: AEGNode, view: WindowView
                             ) -> list[tuple[AEGNode, AEGNode | None]]:
@@ -285,7 +321,10 @@ class DetectionEngine:
         raise NotImplementedError
 
     def universal_first_hop_ok(self, dep: Dep) -> bool:
-        raise NotImplementedError
+        """May ``dep`` be the index -> access hop of a universal chain?
+        Yes, except under PHT's addr_gep filter: a stale load can hand
+        the attacker a base pointer (§5.3), so STL cannot filter."""
+        return True
 
     # -- shared search -------------------------------------------------------
 
@@ -377,22 +416,56 @@ class DetectionEngine:
                 continue
             if not view.contains(access):
                 continue  # outside the sliding window
-            self._classify_chain(transmit, access, dep, primitives,
-                                 view, want, report)
+            # Fig. 7 σ-compatibility: the chain endpoints must co-execute
+            # on one architectural path (the window already walks real
+            # CFG edges, so this can only reject patterns the pairwise
+            # checks over-approximated).
+            if not self.aeg.realizable([access, transmit]):
+                continue
+            self._classify_data(transmit, access, dep, primitives, view,
+                                want, report)
         if "ct" in want or "uct" in want:
             self._search_control(transmit, view, primitives, want,
                                  report, budget)
 
-    def _classify_chain(self, transmit: AEGNode, access: AEGNode, dep: Dep,
+    def _search_control(self, transmit: AEGNode, view: WindowView,
                         primitives: list[tuple[AEGNode, AEGNode | None]],
-                        view: WindowView, want: set[str],
-                        report: FunctionReport) -> None:
-        # Fig. 7 σ-compatibility: the chain endpoints must co-execute on
-        # one architectural path (the window already walks real CFG
-        # edges, so this can only reject patterns the pairwise checks
-        # over-approximated).
-        if not self.aeg.realizable([access, transmit]):
+                        want: set[str], report: FunctionReport,
+                        budget: _Budget) -> None:
+        """access -ctrl-> transmit patterns: the transmitter leaks the
+        outcome of a branch on the access's loaded value.  The first
+        primitive that makes the transmitter transient is the source;
+        one witness per (branch, transmitter) suffices."""
+        for source in primitives:
+            if self._is_transient(transmit, *source, view):
+                break
+        else:
             return
+        for branch in view.branches_within(self.config.window_size):
+            if budget.check():
+                return
+            cond_deps = self.aeg.branch_cond_deps(branch)
+            if not cond_deps:
+                continue
+            # σ-compatibility of branch and transmitter (Fig. 7).
+            if not self.aeg.realizable([branch, transmit]):
+                continue
+            for dep in cond_deps:
+                if dep.store_hops > self.config.max_store_hops:
+                    continue
+                if self._classify_control(transmit, branch,
+                                          self.aeg.node_of(dep.source), dep,
+                                          source, view, want, report):
+                    break
+
+    def _classify_data(self, transmit: AEGNode, access: AEGNode, dep: Dep,
+                       primitives: list[tuple[AEGNode, AEGNode | None]],
+                       view: WindowView, want: set[str],
+                       report: FunctionReport) -> None:
+        """Table 1 data classes of access -addr-> transmit, under the
+        first primitive that makes the access or the transmitter
+        transient: a UDT when an attacker-controlled index in the window
+        addresses a transient access, else a DT."""
         for primitive, window_start in primitives:
             access_transient = self._is_transient(access, primitive,
                                                   window_start, view)
@@ -400,17 +473,16 @@ class DetectionEngine:
                                                     window_start, view)
             if not (access_transient or transmit_transient):
                 continue
-            reported_universal = False
-            universal_wanted = "udt" in want
-            if universal_wanted and self._access_provably_bounded(access):
-                report.pruned += 1
-                universal_wanted = False
-            if universal_wanted:
+            # Committed access: leakage scope is bounded, so the pattern
+            # downgrades to a DT (§6.2.1).
+            if self._universal_wanted("udt", access, want, report) and (
+                    access_transient
+                    or not self.config.require_transient_access):
                 for index_dep in self.aeg.address_deps(access):
                     if not self.universal_first_hop_ok(index_dep):
                         continue
-                    if dep.store_hops + index_dep.store_hops > \
-                            self.config.max_store_hops:
+                    hops = dep.store_hops + index_dep.store_hops
+                    if hops > self.config.max_store_hops:
                         continue
                     index = self.aeg.node_of(index_dep.source)
                     if index.nid == access.nid:
@@ -424,119 +496,62 @@ class DetectionEngine:
                         continue
                     if not self._index_attacker_controlled(index):
                         continue
-                    if self.config.require_transient_access and \
-                            not access_transient:
-                        # Committed access: leakage scope is bounded, so
-                        # the pattern downgrades to a DT (§6.2.1).
-                        continue
-                    report.witnesses.append(ClouWitness(
-                        engine=self.name,
-                        klass=TransmitterClass.UNIVERSAL_DATA,
-                        transmit=self._ref(transmit),
-                        primitive=self._ref(primitive),
-                        access=self._ref(access),
-                        index=self._ref(index),
-                        window_start=self._ref(window_start),
-                        transient_transmit=transmit_transient,
-                        transient_access=access_transient,
-                        store_hops=dep.store_hops + index_dep.store_hops,
-                    ))
-                    reported_universal = True
-                    break
-            if "dt" in want and not reported_universal:
-                report.witnesses.append(ClouWitness(
-                    engine=self.name,
-                    klass=TransmitterClass.DATA,
-                    transmit=self._ref(transmit),
-                    primitive=self._ref(primitive),
-                    access=self._ref(access),
-                    window_start=self._ref(window_start),
-                    transient_transmit=transmit_transient,
-                    transient_access=access_transient,
-                    store_hops=dep.store_hops,
-                ))
+                    self._witness(report, TransmitterClass.UNIVERSAL_DATA,
+                                  transmit=transmit, primitive=primitive,
+                                  access=access, window_start=window_start,
+                                  index=index, store_hops=hops,
+                                  transient_transmit=transmit_transient,
+                                  transient_access=access_transient)
+                    return
+            if "dt" in want:
+                self._witness(report, TransmitterClass.DATA,
+                              transmit=transmit, primitive=primitive,
+                              access=access, window_start=window_start,
+                              store_hops=dep.store_hops,
+                              transient_transmit=transmit_transient,
+                              transient_access=access_transient)
             return  # one primitive witness per chain suffices
 
-    def _search_control(self, transmit: AEGNode, view: WindowView,
-                        primitives: list[tuple[AEGNode, AEGNode | None]],
-                        want: set[str], report: FunctionReport,
-                        budget: _Budget) -> None:
-        """access -ctrl-> transmit patterns: the transmitter leaks the
-        outcome of a branch on the access's loaded value, under the
-        first primitive that makes the transmitter transient."""
-        for primitive, window_start in primitives:
-            if self._is_transient(transmit, primitive, window_start, view):
-                break
-        else:
-            return
-        for branch in self._branches_in(view):
-            if budget.check():
-                return
-            cond_deps = self.aeg.branch_cond_deps(branch)
-            if not cond_deps:
-                continue
-            # σ-compatibility of branch and transmitter (Fig. 7).
-            if not self.aeg.realizable([branch, transmit]):
-                continue
-            for dep in cond_deps:
-                if dep.store_hops > self.config.max_store_hops:
+    def _classify_control(self, transmit: AEGNode, branch: AEGNode,
+                          access: AEGNode, dep: Dep,
+                          source: tuple[AEGNode, AEGNode | None],
+                          view: WindowView, want: set[str],
+                          report: FunctionReport) -> bool:
+        """Table 1 control classes of access -ctrl-> ``branch``: a UCT
+        when an attacker-controlled index addresses a transient access,
+        else a CT.  True when a witness was reported."""
+        primitive, window_start = source
+        access_transient = self._is_transient(access, primitive,
+                                              window_start, view)
+        if self._universal_wanted("uct", access, want, report) and (
+                access_transient or not self.config.require_transient_access):
+            for index_dep in self.aeg.address_deps(access):
+                if not self.universal_first_hop_ok(index_dep):
                     continue
-                access = self.aeg.node_of(dep.source)
-                access_transient = self._is_transient(
-                    access, primitive, window_start, view)
-                uct_wanted = "uct" in want
-                if uct_wanted and self._access_provably_bounded(access):
-                    report.pruned += 1
-                    uct_wanted = False
-                if uct_wanted:
-                    reported = False
-                    for index_dep in self.aeg.address_deps(access):
-                        if not self.universal_first_hop_ok(index_dep):
-                            continue
-                        index = self.aeg.node_of(index_dep.source)
-                        if index.nid == access.nid:
-                            continue
-                        if not self.aeg.before(index, access):
-                            continue
-                        if not self._index_attacker_controlled(index):
-                            continue
-                        if self.config.require_transient_access and \
-                                not access_transient:
-                            continue
-                        report.witnesses.append(ClouWitness(
-                            engine=self.name,
-                            klass=TransmitterClass.UNIVERSAL_CONTROL,
-                            transmit=self._ref(transmit),
-                            primitive=self._ref(primitive),
-                            access=self._ref(access),
-                            index=self._ref(index),
-                            window_start=self._ref(window_start),
-                            transient_transmit=True,
-                            transient_access=access_transient,
-                            store_hops=dep.store_hops + index_dep.store_hops,
-                        ))
-                        reported = True
-                        break
-                    if reported:
-                        break
-                if "ct" in want:
-                    report.witnesses.append(ClouWitness(
-                        engine=self.name,
-                        klass=TransmitterClass.CONTROL,
-                        transmit=self._ref(transmit),
-                        primitive=self._ref(primitive),
-                        access=self._ref(access),
-                        window_start=self._ref(window_start),
-                        transient_transmit=True,
-                        transient_access=access_transient,
-                        store_hops=dep.store_hops,
-                    ))
-                    break
+                index = self.aeg.node_of(index_dep.source)
+                if index.nid == access.nid:
+                    continue
+                if not self.aeg.before(index, access):
+                    continue
+                if not self._index_attacker_controlled(index):
+                    continue
+                self._witness(report, TransmitterClass.UNIVERSAL_CONTROL,
+                              transmit=transmit, primitive=primitive,
+                              access=access, window_start=window_start,
+                              index=index,
+                              store_hops=dep.store_hops + index_dep.store_hops,
+                              transient_access=access_transient)
+                return True
+        if "ct" in want:
+            self._witness(report, TransmitterClass.CONTROL,
+                          transmit=transmit, primitive=primitive,
+                          access=access, window_start=window_start,
+                          store_hops=dep.store_hops,
+                          transient_access=access_transient)
+            return True
+        return False
 
     # -- helpers ---------------------------------------------------------------
-
-    def _branches_in(self, view: WindowView) -> list[AEGNode]:
-        return view.branches_within(self.config.window_size)
 
     def _is_transient(self, node: AEGNode, primitive: AEGNode,
                       window_start: AEGNode | None, view: WindowView) -> bool:
@@ -563,9 +578,20 @@ class DetectionEngine:
         """Range pruning (engines opting in via :meth:`prunes_ranges`):
         an access that stays inside its object on every A-CFG path
         cannot head a universal chain."""
-        if not self.prunes_ranges():
+        return self.prunes_ranges() and \
+            self.ranges.access_in_bounds(access.instruction)
+
+    def _universal_wanted(self, klass: str, access: AEGNode, want: set[str],
+                          report: FunctionReport) -> bool:
+        """Is the universal class ``klass`` ("udt"/"uct") wanted with
+        ``access`` as its access?  A provably bounded access is not, and
+        counts as pruned."""
+        if klass not in want:
             return False
-        return self.ranges.access_in_bounds(access.instruction)
+        if self._access_provably_bounded(access):
+            report.pruned += 1
+            return False
+        return True
 
 
 @register_engine
@@ -636,18 +662,11 @@ class ClouPHT(DetectionEngine):
                 transient=True,
             ):
                 continue
-            access = self.aeg.node_of(deps[0].source)
-            report.witnesses.append(ClouWitness(
-                engine=self.name,
-                klass=TransmitterClass.DATA,
-                transmit=self._ref(transient_load),
-                primitive=self._ref(primitive),
-                access=self._ref(access),
-                window_start=self._ref(committed),
-                transient_transmit=True,
-                transient_access=False,
-                store_hops=deps[0].store_hops,
-            ))
+            self._witness(report, TransmitterClass.DATA,
+                          transmit=transient_load, primitive=primitive,
+                          access=self.aeg.node_of(deps[0].source),
+                          window_start=committed, transient_access=False,
+                          store_hops=deps[0].store_hops)
             break  # one interference witness per transient load
 
     def speculation_sources(self, transmit: AEGNode, view: WindowView
@@ -679,12 +698,9 @@ class ClouSTL(DetectionEngine):
         self._bypassable = self._compute_bypassable()
 
     def _compute_bypassable(self) -> dict[int, AEGNode]:
-        """load nid -> one store it can transiently bypass.
-
-        A load bypasses a store when the store is possibly-same-address,
-        still in the LSQ (within ``lsq_size`` instructions), and no
-        lfence separates them.
-        """
+        """load nid -> the latest earlier store the load can transiently
+        pair with: still in the LSQ (within ``lsq_size`` instructions),
+        no lfence between them, and :meth:`_can_pair` holds."""
         bypassable: dict[int, AEGNode] = {}
         if self.config.lsq_size <= 0:
             return bypassable  # no store can be in flight
@@ -693,13 +709,19 @@ class ClouSTL(DetectionEngine):
             # Stores come in position order: keep the latest.
             for node in reversed(view.stores_within(self.config.lsq_size,
                                                     fence_free=True)):
-                if self.aeg.alias.may_alias(
-                    node.instruction.pointer, load.instruction.pointer,
-                    transient=self.config.assume_alias_prediction,
-                ):
+                if self._can_pair(node, load):
                     bypassable[load.nid] = node
                     break
         return bypassable
+
+    def _can_pair(self, store: AEGNode, load: AEGNode) -> bool:
+        """Can ``load`` bypass ``store``?  When they may share an
+        address (under ``assume_alias_prediction``, transiently any
+        two may)."""
+        return self.aeg.alias.may_alias(
+            store.instruction.pointer, load.instruction.pointer,
+            transient=self.config.assume_alias_prediction,
+        )
 
     def speculation_sources(self, transmit: AEGNode, view: WindowView
                             ) -> list[tuple[AEGNode, AEGNode | None]]:
@@ -712,11 +734,6 @@ class ClouSTL(DetectionEngine):
             if store is not None:
                 sources.append((store, node))
         return sources
-
-    def universal_first_hop_ok(self, dep: Dep) -> bool:
-        # addr_gep cannot filter v4: a stale load can hand the attacker a
-        # base pointer (§5.3).
-        return True
 
     def _index_attacker_controlled(self, index: AEGNode) -> bool:
         # A bypassing load returns stale memory, which is attacker-
@@ -750,6 +767,9 @@ class ClouFWD(DetectionEngine):
     out of bounds, so it loses the ``oob`` mode (it keeps ``forward``).
     The load side must not prune, for the same reason as STL: a
     provably in-bounds load can still consume a corrupted value.
+
+    The transient window of every FWD pattern starts at the corrupting
+    store, so the guard named in a witness is the store's first one.
     """
 
     name = "fwd"
@@ -760,67 +780,50 @@ class ClouFWD(DetectionEngine):
 
     def __init__(self, aeg: SAEG, config: ClouConfig = CLOU_DEFAULT_CONFIG):
         super().__init__(aeg, config)
-        self._corruptors, self._pruned_oob = self._compute_corruptors()
+        self._pruned_oob = 0
+        self._corruptors = self._compute_corruptors()
         self._pairs: dict[int, list] = {}
 
-    def _compute_corruptors(self):
-        """(store, guard branches, oob) triples: transient stores whose
-        forward can corrupt a later load, plus the count of stores whose
-        oob mode the interval analysis pruned away."""
-        ranges = None
-        if self.config.enable_range_pruning:
-            from repro.analysis.interval import IntervalAnalysis
-
-            ranges = IntervalAnalysis(self.aeg.function)
-        corruptors = []
-        pruned = 0
+    def _compute_corruptors(self) -> dict[int, tuple[AEGNode, bool]]:
+        """store nid -> (first guard branch, oob) for every transient
+        store whose forward can corrupt a later load; counts the stores
+        whose oob mode the interval analysis pruned away."""
+        corruptors = {}
         rob = self.config.rob_size
         for store in self.aeg.stores():
             # The shortest branch-to-store path must fit the ROB; some
             # path, not necessarily that one, must be fence-free.
-            guards = tuple(
+            guard = next((
                 branch
                 for branch in self.aeg.window(store, rob).branches_within(rob)
                 if self.aeg.fence_free_between(branch, store)
-            )
-            if not guards:
+            ), None)
+            if guard is None:
                 continue  # never executes transiently
             oob = self.aeg.value_tainted(store.instruction.pointer)
-            if oob and ranges is not None and \
-                    ranges.access_in_bounds(store.instruction):
+            if oob and self.config.enable_range_pruning and \
+                    self.ranges.access_in_bounds(store.instruction):
                 oob = False
-                pruned += 1
+                self._pruned_oob += 1
             data_tainted = store.instruction.value is not None and \
                 self.aeg.value_tainted(store.instruction.value)
             if not oob and not data_tainted:
                 continue  # forwards neither a wrong slot nor a secret
-            corruptors.append((store, guards, oob))
-        return corruptors, pruned
-
-    def prunes_ranges(self) -> bool:
-        # The base engine's load-side pruning is unsound for FWD (an
-        # in-bounds load can still read a corrupted slot); the sound
-        # store-side pruning happens in _compute_corruptors instead.
-        return False
+            corruptors[store.nid] = (guard, oob)
+        return corruptors
 
     def speculation_sources(self, transmit: AEGNode, view: WindowView
                             ) -> list[tuple[AEGNode, AEGNode | None]]:
-        """(guard branch, corrupting store) pairs visible from the
-        transmitter.  API parity only: the FWD search overrides
-        :meth:`_search_transmit` and matches stores per corrupted
-        access instead."""
-        sources = [
-            (guards[0], store)
-            for store, guards, _oob in self._corruptors
-            if view.contains(store)
+        """(guard, corrupting store) for every corrupting store whose
+        transient window covers the transmitter: within ``rob_size`` of
+        it on a fence-free path.  Every FWD witness needs one, so an
+        empty list skips the transmitter."""
+        return [
+            (self._corruptors[store.nid][0], store)
+            for store in view.stores_within(self.config.rob_size,
+                                            fence_free=True)
+            if store.nid in self._corruptors
         ]
-        sources.sort(key=lambda pair: pair[1].position)
-        return sources
-
-    def universal_first_hop_ok(self, dep: Dep) -> bool:
-        # Like STL: a forwarded value can be a base pointer, so the
-        # addr_gep filter does not apply.
-        return True
 
     def _search(self, report: FunctionReport, budget: _Budget,
                 state: _SearchState) -> None:
@@ -832,68 +835,47 @@ class ClouFWD(DetectionEngine):
             report.pruned += self._pruned_oob
         super()._search(report, budget, state)
 
-    def _search_transmit(self, transmit: AEGNode, view: WindowView,
-                         address_deps: tuple[Dep, ...], want: set[str],
-                         report: FunctionReport, budget: _Budget) -> None:
-        for dep in address_deps:
-            if budget.check():
-                return
-            if dep.store_hops > self.config.max_store_hops:
-                continue
-            access = self.aeg.node_of(dep.source)
-            if access.nid == transmit.nid or not access.is_load:
-                continue
-            if not view.contains(access):
-                continue  # outside the sliding window
-            self._classify_forward(transmit, access, dep, view, want,
-                                   report)
-        if "ct" in want or "uct" in want:
-            self._search_forward_control(transmit, view, want,
-                                         report, budget)
-
-    def _forward_pairs(self, access: AEGNode):
-        """Corrupting (store, guards, oob) triples whose forward window
-        covers ``access``: the store is earlier, still in the store
-        queue (within ``lsq_size``), not fenced off, and — in forward
-        mode — architecturally possibly same-address.  Memoized per
-        access: the result depends on nothing else."""
+    def _forward_pairs(self, access: AEGNode) -> list:
+        """Corrupting (store, guard, oob) triples whose forward window
+        covers ``access``, in position order: the store is earlier,
+        still in the store queue (within ``lsq_size``), not fenced off,
+        and — in forward mode — architecturally possibly same-address.
+        Memoized per access: the result depends on nothing else."""
         pairs = self._pairs.get(access.nid)
         if pairs is not None:
             return pairs
-        view = self.aeg.window(access, self.config.lsq_size)
         pairs = self._pairs[access.nid] = []
-        for store, guards, oob in self._corruptors:
-            if not view.contains(store):
+        lsq = self.config.lsq_size
+        for store in self.aeg.window(access, lsq).stores_within(lsq):
+            corruptor = self._corruptors.get(store.nid)
+            if corruptor is None:
                 continue
             if not self.aeg.fence_free_between(store, access):
                 continue
+            guard, oob = corruptor
             if not oob and not self.aeg.alias.may_alias(
                 store.instruction.pointer, access.instruction.pointer,
             ):
                 continue
-            pairs.append((store, guards, oob))
+            pairs.append((store, guard, oob))
         return pairs
 
-    def _transient_pair(self, store: AEGNode, guards, access: AEGNode,
-                        transmit: AEGNode, view: WindowView):
-        """The first guard under which both the corrupted access and the
-        transmitter are transient, or None."""
-        for guard in guards:
+    def _corruptions(self, access: AEGNode, transmit: AEGNode,
+                     view: WindowView):
+        """The (store, guard, oob) forward pairs of ``access`` whose
+        transient window covers both ``access`` and ``transmit``."""
+        for store, guard, oob in self._forward_pairs(access):
             if self._is_transient(access, guard, store, view) and \
                     self._is_transient(transmit, guard, store, view):
-                return guard
-        return None
+                yield store, guard, oob
 
-    def _classify_forward(self, transmit: AEGNode, access: AEGNode,
-                          dep: Dep, view: WindowView, want: set[str],
-                          report: FunctionReport) -> None:
-        if not self.aeg.realizable([access, transmit]):
-            return
-        for store, guards, oob in self._forward_pairs(access):
-            primitive = self._transient_pair(store, guards, access,
-                                             transmit, view)
-            if primitive is None:
-                continue
+    def _classify_data(self, transmit: AEGNode, access: AEGNode, dep: Dep,
+                       primitives: list[tuple[AEGNode, AEGNode | None]],
+                       view: WindowView, want: set[str],
+                       report: FunctionReport) -> None:
+        """One witness per chain, from its first corrupting store: a
+        UDT for an oob store, else a DT."""
+        for store, guard, oob in self._corruptions(access, transmit, view):
             if not self.aeg.realizable([store, access, transmit]):
                 continue
             if oob and "udt" in want:
@@ -902,69 +884,35 @@ class ClouFWD(DetectionEngine):
                 klass = TransmitterClass.DATA
             else:
                 continue
-            report.witnesses.append(ClouWitness(
-                engine=self.name,
-                klass=klass,
-                transmit=self._ref(transmit),
-                primitive=self._ref(primitive),
-                access=self._ref(access),
-                window_start=self._ref(store),
-                transient_transmit=True,
-                transient_access=True,
-                store_hops=dep.store_hops,
-            ))
-            return  # one corrupting store per chain suffices
+            self._witness(report, klass, transmit=transmit, primitive=guard,
+                          access=access, window_start=store,
+                          store_hops=dep.store_hops)
+            return
 
-    def _search_forward_control(self, transmit: AEGNode, view: WindowView,
-                                want: set[str], report: FunctionReport,
-                                budget: _Budget) -> None:
+    def _classify_control(self, transmit: AEGNode, branch: AEGNode,
+                          access: AEGNode, dep: Dep,
+                          source: tuple[AEGNode, AEGNode | None],
+                          view: WindowView, want: set[str],
+                          report: FunctionReport) -> bool:
         """Control-flow leakage of forwarded data (FWD04/FWD05's second
-        window): a branch condition reads a corruptible load, and the
-        transmitter in its shadow leaks the outcome."""
-        for branch in self._branches_in(view):
-            if budget.check():
-                return
-            cond_deps = self.aeg.branch_cond_deps(branch)
-            if not cond_deps:
+        window): the branch condition reads a corruptible load in the
+        window, and the transmitter in its shadow leaks the outcome."""
+        if not view.contains(access):
+            return False
+        for store, guard, oob in self._corruptions(access, transmit, view):
+            if not self.aeg.realizable([store, access, branch]):
                 continue
-            if not self.aeg.realizable([branch, transmit]):
+            if oob and "uct" in want:
+                klass = TransmitterClass.UNIVERSAL_CONTROL
+            elif "ct" in want:
+                klass = TransmitterClass.CONTROL
+            else:
                 continue
-            reported = False
-            for dep in cond_deps:
-                if dep.store_hops > self.config.max_store_hops:
-                    continue
-                access = self.aeg.node_of(dep.source)
-                if not access.is_load or not view.contains(access):
-                    continue
-                for store, guards, oob in self._forward_pairs(access):
-                    primitive = self._transient_pair(store, guards, access,
-                                                     transmit, view)
-                    if primitive is None:
-                        continue
-                    if not self.aeg.realizable([store, access, branch]):
-                        continue
-                    if oob and "uct" in want:
-                        klass = TransmitterClass.UNIVERSAL_CONTROL
-                    elif "ct" in want:
-                        klass = TransmitterClass.CONTROL
-                    else:
-                        continue
-                    report.witnesses.append(ClouWitness(
-                        engine=self.name,
-                        klass=klass,
-                        transmit=self._ref(transmit),
-                        primitive=self._ref(primitive),
-                        access=self._ref(access),
-                        window_start=self._ref(store),
-                        transient_transmit=True,
-                        transient_access=True,
-                        store_hops=dep.store_hops,
-                    ))
-                    reported = True
-                    break
-                if reported:
-                    break
-            # one control witness per (branch, transmit) suffices
+            self._witness(report, klass, transmit=transmit, primitive=guard,
+                          access=access, window_start=store,
+                          store_hops=dep.store_hops)
+            return True
+        return False
 
 
 @register_engine
@@ -993,21 +941,8 @@ class ClouPSF(ClouSTL):
     range_pruning = "none (same reasoning as STL)"
     repair_note = "lfence between wrong store and forwarding load"
 
-    def _compute_bypassable(self) -> dict[int, AEGNode]:
-        """load nid -> the latest earlier store the predictor can
-        wrongly forward from."""
-        pairs: dict[int, AEGNode] = {}
-        if self.config.lsq_size <= 0:
-            return pairs  # no store can be in flight
-        for load in self.aeg.loads():
-            view = self.aeg.window(load, self.config.lsq_size)
-            # Stores come in position order: keep the latest.
-            for node in reversed(view.stores_within(self.config.lsq_size,
-                                                    fence_free=True)):
-                # A MUST pair is a correct forward: STL's case, not PSF's.
-                if self.aeg.alias.alias(
-                    node.instruction.pointer, load.instruction.pointer,
-                ) is not AliasResult.MUST:
-                    pairs[load.nid] = node
-                    break
-        return pairs
+    def _can_pair(self, store: AEGNode, load: AEGNode) -> bool:
+        # A MUST pair is a correct forward: STL's case, not PSF's.
+        return self.aeg.alias.alias(
+            store.instruction.pointer, load.instruction.pointer,
+        ) is not AliasResult.MUST

@@ -38,6 +38,3 @@ class SolverError(ReproError):
 class AnalysisError(ReproError):
     """Raised when Clou cannot analyze a function."""
 
-
-class AnalysisTimeout(AnalysisError):
-    """Raised internally when an analysis exceeds its time budget."""

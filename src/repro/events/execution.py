@@ -20,24 +20,12 @@ from repro.events.event import (
     AccessKind,
     Bottom,
     Event,
-    MemoryEvent,
     Read,
     Top,
     Write,
 )
 from repro.events.structure import EventStructure
 from repro.relations import Relation
-
-
-def _same_location(a: Event, b: Event, top: Top | None) -> bool:
-    """⊤ matches every location; otherwise compare MemoryEvent locations."""
-    if top is not None and (a == top or b == top):
-        return True
-    return (
-        isinstance(a, MemoryEvent)
-        and isinstance(b, MemoryEvent)
-        and a.loc == b.loc
-    )
 
 
 @dataclass(frozen=True)
@@ -231,10 +219,3 @@ class CandidateExecution:
     def with_xwitness(self, xwitness: XWitness) -> "CandidateExecution":
         return CandidateExecution(self.structure, self.witness, xwitness)
 
-
-def initial_reads(structure: EventStructure) -> Relation:
-    """The rf edges pinned by convention: every ⊥ reads from ⊤."""
-    top = structure.top
-    if top is None:
-        return Relation()
-    return Relation((top, b) for b in structure.bottoms)

@@ -97,17 +97,8 @@ class EventStructure:
     def locations(self) -> frozenset[Location]:
         return frozenset(e.loc for e in self.memory_events)
 
-    def committed_memory_events(self) -> tuple[MemoryEvent, ...]:
-        return tuple(e for e in self.memory_events if e.committed)
-
-    def events_at(self, loc: Location) -> tuple[MemoryEvent, ...]:
-        return tuple(e for e in self.memory_events if e.loc == loc)
-
     def writes_at(self, loc: Location) -> tuple[Write, ...]:
         return tuple(w for w in self.writes if w.loc == loc)
-
-    def reads_at(self, loc: Location) -> tuple[Read, ...]:
-        return tuple(r for r in self.reads if r.loc == loc)
 
     # ------------------------------------------------------------------
     # Derived relations
@@ -146,13 +137,6 @@ class EventStructure:
             pairs.extend((a, b) for a in before for b in after)
         return Relation(pairs)
 
-    def tfo_interval(self, first: Event, last: Event) -> tuple[Event, ...]:
-        """Events strictly between ``first`` and ``last`` in tfo order."""
-        after_first = self.tfo.successors(first)
-        before_last = self.tfo.predecessors(last)
-        middle = after_first & before_last
-        return tuple(e for e in self.events if e in middle)
-
     # ------------------------------------------------------------------
     # Validation
     # ------------------------------------------------------------------
@@ -173,19 +157,6 @@ class EventStructure:
         for a, b in self.po:
             if a in transient or b in transient:
                 raise ValueError(f"po relates non-committed event: {a!r} -> {b!r}")
-
-    def with_name(self, name: str) -> "EventStructure":
-        return EventStructure(
-            events=self.events,
-            po=self.po,
-            tfo=self.tfo,
-            addr=self.addr,
-            data=self.data,
-            ctrl=self.ctrl,
-            top=self.top,
-            bottoms=self.bottoms,
-            name=name,
-        )
 
     def __repr__(self) -> str:
         kind_counts = (

@@ -47,7 +47,8 @@ from repro.fuzz.gen_c import GeneratedC
 from repro.fuzz.gen_litmus import GeneratedLitmus, render_program
 from repro.sched import AnalysisRequest
 
-__all__ = ["ORACLES", "Oracle", "OracleSkip", "oracles_for"]
+__all__ = ["ORACLES", "Oracle", "OracleSkip", "oracles_for",
+           "path_constraints", "realizable_fresh"]
 
 
 class OracleSkip(Exception):
@@ -382,6 +383,60 @@ def _contract_sidecar(generated: GeneratedC) -> dict | None:
 # ----------------------------------------------------------------------
 
 
+def path_constraints(aeg):
+    """Encode the architectural path conditions of an S-AEG's function
+    as boolean constraints (Fig. 7): one variable per block
+    (``x_<label>``, "block executes"), the entry forced, a branch block
+    taking exactly one successor edge, and a block executing iff some
+    incoming edge is taken.  Returns the encoder; callers add query
+    clauses and solve."""
+    from repro.solver import TseitinEncoder, conj, disj, iff, var
+
+    encoder = TseitinEncoder()
+    entry = aeg.function.entry.label
+    encoder.assert_expr(var(f"x_{entry}"))
+    incoming: dict[str, list] = {}
+    for block in aeg.function.blocks:
+        successors = block.successors()
+        executed = var(f"x_{block.label}")
+        if len(successors) == 2:
+            then_edge = var(f"e_{block.label}->{successors[0]}#0")
+            else_edge = var(f"e_{block.label}->{successors[1]}#1")
+            encoder.assert_expr(iff(executed, disj(then_edge, else_edge)))
+            encoder.assert_expr(
+                executed >> ~conj(then_edge, else_edge)
+            )
+            incoming.setdefault(successors[0], []).append(then_edge)
+            incoming.setdefault(successors[1], []).append(else_edge)
+        elif len(successors) == 1:
+            edge = var(f"e_{block.label}->{successors[0]}#0")
+            encoder.assert_expr(iff(executed, edge))
+            incoming.setdefault(successors[0], []).append(edge)
+    for block in aeg.function.blocks:
+        if block.label == entry:
+            continue
+        executed = var(f"x_{block.label}")
+        edges = incoming.get(block.label, [])
+        if edges:
+            encoder.assert_expr(iff(executed, disj(*edges)))
+        else:
+            encoder.assert_expr(~executed)
+    return encoder
+
+
+def realizable_fresh(aeg, nodes) -> bool:
+    """SAT reference for :meth:`repro.clou.aeg.SAEG.realizable`: encode
+    the path constraints and solve them with a throwaway solver.  Kept
+    for differential testing (the incremental-vs-fresh oracle and the
+    realizability tests); the engines use the chain check."""
+    from repro.solver import SatSolver, var
+
+    encoder = path_constraints(aeg)
+    for node in nodes:
+        encoder.assert_expr(var(f"x_{node.block}"))
+    return SatSolver.from_cnf(encoder.cnf).solve() is not None
+
+
 def _ivf_c(generated: GeneratedC) -> str | None:
     from repro.clou import SAEG, build_acfg
     from repro.minic import compile_c
@@ -404,7 +459,7 @@ def _ivf_c(generated: GeneratedC) -> str | None:
                     for b in interesting[i + 1:]]
         for nodes in queries[:40]:
             chain = aeg.realizable(nodes)
-            fresh = aeg.realizable_fresh(nodes)
+            fresh = realizable_fresh(aeg, nodes)
             if chain != fresh:
                 blocks = sorted({n.block for n in nodes})
                 return (f"{function.name}: realizable({blocks}) = "

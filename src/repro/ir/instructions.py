@@ -83,10 +83,6 @@ class Instruction:
     def is_terminator(self) -> bool:
         return isinstance(self, (Branch, Jump, Ret))
 
-    @property
-    def accesses_memory(self) -> bool:
-        return isinstance(self, (Load, Store, Call))
-
 
 @dataclass
 class Alloca(Instruction):

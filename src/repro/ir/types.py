@@ -18,10 +18,6 @@ class Type:
     def is_pointer(self) -> bool:
         return isinstance(self, PointerType)
 
-    @property
-    def is_integer(self) -> bool:
-        return isinstance(self, IntType)
-
     def size_bytes(self) -> int:
         raise NotImplementedError
 

@@ -1,7 +1,7 @@
 """Fig. 7 path realizability: the S-AEG's entry-rooted bitset chain
 check (``SAEG.realizable``) against the SAT reference that encodes the
 path constraints and solves them on a fresh solver per query
-(``SAEG.realizable_fresh``).
+(``repro.fuzz.oracles.realizable_fresh``).
 
 Every corpus the analysis runs on is covered — the litmus suites, the
 crypto files, the Fig. 8 synthetics up to 60 rounds, the OpenSSL-shaped
@@ -10,14 +10,17 @@ unit and generated C programs — with seeded random block sets of size
 """
 
 import random
+from pathlib import Path
 
 import pytest
 
+import repro.clou
 from repro.bench.suites import all_litmus, by_name, crypto_cases
 from repro.bench.synthetic import openssl_like_source, scaling_corpus
 from repro.clou import SAEG, build_acfg
 from repro.clou.serialize import to_json
 from repro.fuzz.gen_c import generate_c
+from repro.fuzz.oracles import realizable_fresh
 from repro.minic import compile_c
 from repro.sched import AnalysisRequest
 
@@ -61,7 +64,7 @@ def _disagreements(source, seed=0):
         for nodes in _queries(aeg, seed):
             count += 1
             chain = aeg.realizable(nodes)
-            fresh = aeg.realizable_fresh(nodes)
+            fresh = realizable_fresh(aeg, nodes)
             if chain != fresh:
                 mismatches.append((aeg.function.name,
                                    sorted({n.block for n in nodes}),
@@ -87,7 +90,7 @@ class TestAgreementWithFresh:
         streams += [[a, b] for i, a in enumerate(nodes) for b in nodes[i + 1:]]
         streams += [nodes[i:i + 3] for i in range(len(nodes) - 2)]
         for query in streams:
-            assert aeg.realizable(query) == aeg.realizable_fresh(query), \
+            assert aeg.realizable(query) == realizable_fresh(aeg, query), \
                 [n.block for n in query]
 
     @pytest.mark.parametrize("case", [c.name for c in all_litmus()])
@@ -120,8 +123,8 @@ class TestAgreementWithFresh:
         nodes = [aeg.by_block["orphan.0"][0],
                  aeg.by_block[exit_label][0]]
         assert not aeg.realizable(nodes)
-        assert not aeg.realizable_fresh(nodes)
-        assert aeg.realizable(nodes[1:]) and aeg.realizable_fresh(nodes[1:])
+        assert not realizable_fresh(aeg, nodes)
+        assert aeg.realizable(nodes[1:]) and realizable_fresh(aeg, nodes[1:])
 
 
 @pytest.mark.slow
@@ -163,5 +166,13 @@ class TestEngineIntegration:
             return session.analyze(AnalysisRequest.analyze(source, engine="pht", name="diff"))
 
         baseline = to_json(fresh_report(), stable=True)
-        monkeypatch.setattr(SAEG, "realizable", SAEG.realizable_fresh)
+        monkeypatch.setattr(SAEG, "realizable", realizable_fresh)
         assert to_json(fresh_report(), stable=True) == baseline
+
+
+def test_clou_does_not_refer_to_the_solver():
+    """The SAT reference lives in :mod:`repro.fuzz.oracles`; the Clou
+    package itself answers realizability without a solver."""
+    package = Path(repro.clou.__file__).parent
+    assert [path.name for path in sorted(package.rglob("*.py"))
+            if "repro.solver" in path.read_text()] == []
