@@ -1,7 +1,8 @@
 # Convenience targets for the reproduction.
 
 .PHONY: install test test-all lint bench bench-check bench-sched \
-	bench-solver bench-smoke bench-saeg bench-window json-identity table2 \
+	bench-solver bench-smoke bench-saeg bench-window bench-daemon \
+	json-identity table2 \
 	fig8 repair \
 	gallery fuzz fuzz-smoke \
 	fuzz-contract-smoke contract-matrix fault-smoke fault-sweep \
@@ -154,6 +155,14 @@ bench-saeg:
 # an earlier commit>/src gives the before columns of the committed file.
 bench-window:
 	python benchmarks/bench_window.py $(if $(BASELINE),--baseline $(BASELINE))
+
+# One `clou serve` request split into request decode, session.run,
+# result.to_dict and response encode+send, plus the cyclic collector's
+# time per generation, over the daemon-edit stream (seed 0); writes
+# BENCH_daemon.json and fails if the trees' hit/miss ledgers differ.
+# BASELINE=<checkout of an earlier commit>/src gives the before rows.
+bench-daemon:
+	python benchmarks/bench_daemon.py $(if $(BASELINE),--baseline $(BASELINE))
 
 # `clou analyze --engine all --json` over the whole corpus, default config
 # and four variants, byte-compared (stdout and exit code) against the

@@ -160,6 +160,12 @@ class _SearchState:
     snapshot never grows).  The process pool sends only the witnesses
     that are new since the previous snapshot over its pipe and rebuilds
     the full list on the parent side (:mod:`repro.sched.scheduler`).
+
+    A sink with a true ``deferred`` attribute receives each snapshot as
+    a zero-argument callable that builds the dict on demand, equal to
+    the one an eager sink receives: the serial scheduler keeps only the
+    last one and reads it only for a retry or a salvage, so it pays no
+    witness conversion per candidate.
     """
 
     def __init__(self, resume: dict | None, emit) -> None:
@@ -188,20 +194,30 @@ class _SearchState:
     def snapshot(self, report: FunctionReport) -> None:
         if self._emit is None:
             return
-        from repro.clou.serialize import witness_dict
-
-        while len(self._witness_dicts) < len(report.witnesses):
-            self._witness_dicts.append(
-                witness_dict(report.witnesses[len(self._witness_dicts)]))
-        self._emit({
+        fields = {
             "cursor": self.cursor,
             "icursor": self.icursor,
             "total": self.total,
             "candidates": report.candidates,
             "pruned": report.pruned,
             "skipped": report.skipped,
-            "witnesses": list(self._witness_dicts),
-        })
+        }
+        # The engine only appends witnesses, so the first ``count`` of
+        # them are the snapshot's whenever it is built.
+        count = len(report.witnesses)
+        if getattr(self._emit, "deferred", False):
+            self._emit(lambda: self._payload(report, fields, count))
+        else:
+            self._emit(self._payload(report, fields, count))
+
+    def _payload(self, report: FunctionReport, fields: dict,
+                 count: int) -> dict:
+        from repro.clou.serialize import witness_dict
+
+        dicts = self._witness_dicts
+        while len(dicts) < count:
+            dicts.append(witness_dict(report.witnesses[len(dicts)]))
+        return dict(fields, witnesses=dicts[:count])
 
 
 ENGINES: dict[str, type["DetectionEngine"]] = {}
@@ -333,7 +349,8 @@ class DetectionEngine:
         """Run the search.  ``resume`` is a checkpoint payload from an
         earlier interrupted run of the same (function, engine, config);
         ``checkpoint`` is a callable receiving snapshot dicts after each
-        fully-processed candidate.  The final report is identical
+        fully-processed candidate (deferred ones, if it asks, see
+        :class:`_SearchState`).  The final report is identical
         whether or not the run was interrupted and resumed."""
         started = time.monotonic()
         budget = _Budget(self.config.timeout_seconds)

@@ -76,6 +76,16 @@ class ClouWitness:
         return "\n".join(parts)
 
 
+def class_counts(transmitters) -> dict[TransmitterClass, int]:
+    """Witnesses per class, every class present, in
+    :class:`TransmitterClass` order (the ``counts``/``totals`` order of
+    the stable JSON)."""
+    counts = dict.fromkeys(TransmitterClass, 0)
+    for witness in transmitters:
+        counts[witness.klass] += 1
+    return counts
+
+
 @dataclass
 class FunctionReport:
     """Result of running one engine over one public function."""
@@ -119,11 +129,8 @@ class FunctionReport:
                            -w.klass.severity, w.klass.value),
         )
 
-    def count(self, klass: TransmitterClass) -> int:
-        return sum(1 for w in self.transmitters() if w.klass is klass)
-
     def counts(self) -> dict[TransmitterClass, int]:
-        return {klass: self.count(klass) for klass in TransmitterClass}
+        return class_counts(self.transmitters())
 
     @property
     def leaky(self) -> bool:
@@ -196,10 +203,13 @@ class ModuleReport:
     byte-stable ``--json`` output (wall-clock data would break it)."""
 
     def total(self, klass: TransmitterClass) -> int:
-        return sum(report.count(klass) for report in self.functions)
+        return self.totals()[klass]
 
     def totals(self) -> dict[TransmitterClass, int]:
-        return {klass: self.total(klass) for klass in TransmitterClass}
+        """Transmitters per class over every function: one
+        :meth:`FunctionReport.transmitters` call per function."""
+        return class_counts(w for report in self.functions
+                            for w in report.transmitters())
 
     @property
     def elapsed(self) -> float:

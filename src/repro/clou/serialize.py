@@ -21,7 +21,8 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.clou.report import ClouWitness, FunctionReport, ModuleReport, NodeRef
+from repro.clou.report import ClouWitness, FunctionReport, ModuleReport, \
+    NodeRef, class_counts
 from repro.lcm.taxonomy import TransmitterClass
 
 
@@ -52,8 +53,13 @@ def witness_dict(witness: ClouWitness) -> dict[str, Any]:
     }
 
 
-def function_report_dict(report: FunctionReport,
-                         stable: bool = False) -> dict[str, Any]:
+def function_report_dict(report: FunctionReport, stable: bool = False,
+                         transmitters: list[ClouWitness] | None = None
+                         ) -> dict[str, Any]:
+    """``transmitters`` is ``report.transmitters()`` when the caller
+    already holds it; the counts and the list both derive from it."""
+    if transmitters is None:
+        transmitters = report.transmitters()
     out: dict[str, Any] = {
         "function": report.function,
         "engine": report.engine,
@@ -65,9 +71,10 @@ def function_report_dict(report: FunctionReport,
         "pruned": report.pruned,
         "coverage": report.coverage(),
         "counts": {
-            klass.value: count for klass, count in report.counts().items()
+            klass.value: count
+            for klass, count in class_counts(transmitters).items()
         },
-        "transmitters": [witness_dict(w) for w in report.transmitters()],
+        "transmitters": [witness_dict(w) for w in transmitters],
     }
     if not stable:
         out["elapsed_seconds"] = report.elapsed
@@ -77,6 +84,7 @@ def function_report_dict(report: FunctionReport,
 def module_report_dict(report: ModuleReport,
                        stable: bool = False) -> dict[str, Any]:
     functions = sorted(report.functions, key=lambda f: f.function)
+    transmitters = [f.transmitters() for f in functions]
     out: dict[str, Any] = {
         "name": report.name,
         "engine": report.engine,
@@ -84,13 +92,15 @@ def module_report_dict(report: ModuleReport,
         "verdict": report.verdict,
         "complete": report.complete,
         "totals": {
-            klass.value: count for klass, count in report.totals().items()
+            klass.value: count for klass, count in class_counts(
+                w for listed in transmitters for w in listed).items()
         },
         "candidates": report.candidates,
         "pruned": report.pruned,
         "coverage": report.coverage(),
-        "functions": [function_report_dict(f, stable=stable)
-                      for f in functions],
+        "functions": [function_report_dict(f, stable=stable,
+                                           transmitters=listed)
+                      for f, listed in zip(functions, transmitters)],
     }
     if report.config is not None:
         out["config"] = report.config.to_dict()

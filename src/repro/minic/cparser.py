@@ -92,8 +92,8 @@ _PRECEDENCE = {
 
 
 class Parser:
-    def __init__(self, source: str):
-        self.tokens = tokenize(source)
+    def __init__(self, tokens: list[Token]):
+        self.tokens = tokens
         self.position = 0
         self.unit = TranslationUnit()
 
@@ -549,6 +549,10 @@ def _const_fold(expr: Expr) -> int | None:
     return None
 
 
-def parse_c(source: str) -> TranslationUnit:
-    """Parse mini-C source into a translation unit."""
-    return Parser(source).parse_unit()
+def parse_c(source: str,
+            tokens: list[Token] | None = None) -> TranslationUnit:
+    """Parse mini-C source into a translation unit.  ``tokens`` is
+    ``tokenize(source)`` when the caller already holds it (the parser
+    only reads the list)."""
+    return Parser(tokens if tokens is not None
+                  else tokenize(source)).parse_unit()

@@ -630,10 +630,12 @@ def _fold_initializer(init):
     return init
 
 
-def compile_c(source: str, name: str = "") -> Module:
+def compile_c(source: str, name: str = "",
+              tokens: list | None = None) -> Module:
     """Compile mini-C source text to an IR module (the Clang stage of
-    Fig. 6)."""
+    Fig. 6).  ``tokens`` is ``tokenize(source)`` when the caller
+    already holds it."""
     from repro.minic.cparser import parse_c
 
-    unit = parse_c(source)
+    unit = parse_c(source, tokens)
     return ModuleLowerer(unit, name=name).lower()

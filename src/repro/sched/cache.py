@@ -134,10 +134,10 @@ class ResultCache:
         self.hits += 1
         return payload
 
-    def put(self, key: str, payload: dict) -> None:
-        """Atomically write ``payload`` (plus the schema version).  Cache
-        writes are best-effort: a read-only or full disk never fails the
-        analysis."""
+    def put(self, key: str, payload: dict) -> bool:
+        """Atomically write ``payload`` (plus the schema version); returns
+        whether the entry was written.  Cache writes are best-effort: a
+        read-only or full disk never fails the analysis."""
         payload = dict(payload, v=SCHEMA_VERSION)
         path = self._path(key)
         try:
@@ -152,7 +152,8 @@ class ResultCache:
                 os.unlink(tmp)
                 raise
         except OSError:
-            pass
+            return False
+        return True
 
     def entries(self) -> list[tuple[str, float, int]]:
         """Every entry as ``(path, mtime, size)``.  Unstatable files

@@ -36,7 +36,6 @@ not.
 from __future__ import annotations
 
 import hashlib
-from functools import lru_cache
 
 from repro.errors import ParseError
 from repro.minic.lexer import Token, tokenize
@@ -132,18 +131,21 @@ def _function_name(segment: list[Token]) -> str | None:
     return None
 
 
-@lru_cache(maxsize=64)
-def function_digests(source: str) -> dict[str, str] | None:
+def function_digests(source: str, tokens: list[Token] | None = None
+                     ) -> dict[str, str] | None:
     """Map every defined function to its closure digest, or ``None``
     when the source cannot be split (fall back to module granularity).
 
-    Memoized on the source text: the daemon hashes the same resident
-    sources once per edit, not once per request.
+    ``tokens`` is ``tokenize(source)`` when the caller already holds it:
+    the session passes the list its parser read
+    (:func:`repro.sched.worker.tokens_for`), so a source is tokenized
+    once per process, not once for the parser and once here.
     """
-    try:
-        tokens = tokenize(source)
-    except ParseError:
-        return None
+    if tokens is None:
+        try:
+            tokens = tokenize(source)
+        except ParseError:
+            return None
     segments = _segments(tokens)
     if segments is None:
         return None

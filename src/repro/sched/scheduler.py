@@ -128,24 +128,42 @@ def run_items(worker: Callable[[Any], Any], payloads: list,
     return _run_serial(worker, payloads, retries=retries)
 
 
+class _LatestCheckpoint:
+    """The serial path's checkpoint sink: it keeps only the newest
+    snapshot and reads it only for a retry or a salvage, so it takes
+    snapshots ``deferred`` (zero-argument callables that build the
+    dict) and builds the one it reads, once."""
+
+    deferred = True
+
+    def __init__(self) -> None:
+        self._latest = None
+
+    def __call__(self, snapshot) -> None:
+        self._latest = snapshot
+
+    def get(self):
+        if callable(self._latest):
+            self._latest = self._latest()
+        return self._latest
+
+
 def _run_serial(worker, payloads, *, retries: int) -> list[ItemOutcome]:
     outcomes = []
     checkpoints = getattr(worker, "supports_checkpoints", False)
     for index, payload in enumerate(payloads):
         outcome = ItemOutcome(index=index)
         started = time.monotonic()
-        state = {"checkpoint": None}
+        latest = _LatestCheckpoint()
         while True:
             outcome.attempts += 1
             try:
                 if checkpoints:
-                    resume = state["checkpoint"]
+                    resume = latest.get()
                     if resume is not None:
                         outcome.resumed += 1
-                    outcome.value = worker(
-                        payload, resume=resume,
-                        checkpoint=lambda snap: state.__setitem__(
-                            "checkpoint", snap))
+                    outcome.value = worker(payload, resume=resume,
+                                           checkpoint=latest)
                 else:
                     outcome.value = worker(payload)
                 outcome.error = None
@@ -167,7 +185,7 @@ def _run_serial(worker, payloads, *, retries: int) -> list[ItemOutcome]:
                 outcome.error = f"{type(error).__name__}: {error}"
                 break
         if outcome.error is not None:
-            outcome.partial = state["checkpoint"]
+            outcome.partial = latest.get()
         outcome.elapsed = time.monotonic() - started
         outcomes.append(outcome)
     return outcomes

@@ -28,6 +28,7 @@ cached/uncached runs.
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.analysis.lint import LintReport, lint_report_dict, \
@@ -54,6 +55,13 @@ _KINDS = ("analyze", "repair", "lint")
 #: protocol rides on these).  Bump on incompatible field changes; both
 #: ``from_dict`` sides reject versions they do not know.
 REQUEST_SCHEMA_VERSION = 1
+
+#: Reports a session keeps decoded in memory, by cache key (LRU): the
+#: ones it last read from or wrote to its :class:`ResultCache`.  A
+#: daemon's unchanged functions then hit without a disk read or a
+#: decode.  64 reports of the OpenSSL-shaped unit are about 4 MB.
+_RESIDENT_SIZE = 64
+
 
 @dataclass(frozen=True)
 class AnalysisRequest:
@@ -233,6 +241,13 @@ class AnalysisResult:
         )
 
 
+def _decode(kind: str, report: dict):
+    """A cached report dict back to its report object."""
+    if kind == "analyze":
+        return function_report_from_dict(report)
+    return lint_report_from_dict(report)
+
+
 @dataclass
 class _Item:
     """One scheduled unit of work, bookkeeping-side."""
@@ -272,6 +287,8 @@ class ClouSession:
         ``$REPRO_CACHE_DIR``; caching is off when neither is set or when
         ``cache=False``.  Only clean, *complete* results are stored:
         errored, timed-out or skipped reports never enter the cache.
+        The last :data:`_RESIDENT_SIZE` reports read from or written to
+        it stay decoded in memory, so a repeated probe skips the disk.
     memory_limit_mb:
         Per-worker address-space ceiling (``RLIMIT_AS``); a worker
         exceeding it dies with a recoverable MemoryError and the item
@@ -298,6 +315,7 @@ class ClouSession:
         directory = cache_dir if cache_dir is not None else default_cache_dir()
         self.cache = ResultCache(directory) if (cache and directory) else None
         self.stats = SessionStats(jobs=self.jobs)
+        self._resident: "OrderedDict[str, object]" = OrderedDict()
 
     # -- public API --------------------------------------------------------
 
@@ -381,9 +399,11 @@ class ClouSession:
         config = self._config_for(request)
         if request.kind == "lint":
             worker.module_for(request.source, request.name)  # parse errors
-            key = item_cache_key(
-                kind="lint", source=request.source,
-                secrets=request.secrets, public=request.public)
+            key = None
+            if self.cache is not None:
+                key = item_cache_key(
+                    kind="lint", source=request.source,
+                    secrets=request.secrets, public=request.public)
             payload = {
                 "kind": "lint", "source": request.source,
                 "name": request.name, "config": None,
@@ -405,8 +425,13 @@ class ClouSession:
         # one function only moves that function's cache address.  When
         # the splitter cannot classify the source, fall back to the
         # module-level digest — strictly more invalidation, never less.
-        digests = (function_digests(request.source)
-                   if request.kind == "analyze" else None) or {}
+        # Without a cache there is nothing to key.
+        keyed = request.kind == "analyze" and self.cache is not None
+        digests = {}
+        if keyed:
+            digests = function_digests(
+                request.source,
+                worker.tokens_for(request.source, request.name)) or {}
         items = []
         for function_name in names:
             payload = {
@@ -415,13 +440,13 @@ class ClouSession:
                 "engine": request.engine, "config": config.to_dict(),
             }
             key = None
-            if request.kind == "analyze":
+            if keyed:
                 key = item_cache_key(
                     kind="analyze", source=request.source,
                     source_key=digests.get(function_name, ""),
                     function=function_name, engine=request.engine,
                     config_key=config.cache_key())
-            else:
+            if request.kind == "repair":
                 payload["strategy"] = request.strategy
             items.append(_Item(
                 request_index=index, function=function_name,
@@ -535,20 +560,35 @@ class ClouSession:
         return outcome.error  # lint: request-level error string
 
     def _probe_cache(self, item: _Item):
+        """The cached report for ``item``: from memory, else from disk,
+        else ``None``.  A memory hit returns the very object an earlier
+        probe or store decoded, so it is shared by every result that
+        hits it; consumers read reports and never mutate them."""
         if self.cache is None or item.cache_key is None:
             return None
-        payload = self.cache.get(item.cache_key)
+        key = item.cache_key
+        try:
+            self._resident.move_to_end(key)
+            return self._resident[key]
+        except KeyError:
+            pass
+        payload = self.cache.get(key)
         if payload is None:
             return None
         try:
-            if item.payload["kind"] == "analyze":
-                return function_report_from_dict(payload["report"])
-            return lint_report_from_dict(payload["report"])
+            value = _decode(item.payload["kind"], payload["report"])
         except (KeyError, ValueError, TypeError):
             # Valid JSON at the right schema version, but the report
             # inside does not deserialize — as corrupt as bad bytes.
-            self.cache.quarantine(item.cache_key)
+            self.cache.quarantine(key)
             return None
+        self._remember(key, value)
+        return value
+
+    def _remember(self, key: str, value) -> None:
+        self._resident[key] = value
+        while len(self._resident) > _RESIDENT_SIZE:
+            self._resident.popitem(last=False)
 
     def _store_cache(self, item: _Item) -> None:
         if self.cache is None or item.cache_key is None:
@@ -564,7 +604,13 @@ class ClouSession:
             payload = {"report": lint_report_dict(value)}
         else:
             return
-        self.cache.put(item.cache_key, payload)
+        if self.cache.put(item.cache_key, payload):
+            # Decoded from the payload just written, so the resident
+            # copy equals what a disk read of it returns (raw witnesses
+            # reduced to transmitters), not the fresh report the caller
+            # receives.
+            self._remember(item.cache_key,
+                           _decode(item.payload["kind"], payload["report"]))
 
     # -- assembly ----------------------------------------------------------
 

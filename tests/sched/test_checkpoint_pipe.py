@@ -105,6 +105,51 @@ class TestWorkerEncoding:
             assert folded == snapshot
 
 
+class _Deferred:
+    """A sink that asks for deferred snapshots, as the serial path does."""
+
+    deferred = True
+
+    def __init__(self):
+        self.thunks = []
+
+    def __call__(self, thunk):
+        self.thunks.append(thunk)
+
+
+class TestDeferredSnapshots:
+    def test_deferred_snapshots_equal_the_eager_ones(self, snapshots):
+        sink = _Deferred()
+        execute_item(PAYLOAD, checkpoint=sink)
+        assert all(callable(thunk) for thunk in sink.thunks)
+        assert len(sink.thunks) == len(snapshots)
+        # Built out of order and twice: each equals its eager snapshot.
+        for index in (len(snapshots) - 1, 39, 0, 39):
+            built = sink.thunks[index]()
+            assert built == snapshots[index]
+            assert list(built) == list(snapshots[index])  # same pickle
+
+    def test_deferred_resume_stream_equals_the_eager_one(self, snapshots):
+        sink = _Deferred()
+        execute_item(PAYLOAD, resume=snapshots[39], checkpoint=sink)
+        assert [thunk() for thunk in sink.thunks] \
+            == _snapshots(resume=snapshots[39])
+
+    def test_serial_sink_builds_only_the_snapshot_it_reads(self):
+        from repro.sched.scheduler import _LatestCheckpoint
+
+        built = []
+        latest = _LatestCheckpoint()
+        assert latest.deferred and latest.get() is None
+        for cursor in range(3):
+            latest(lambda cursor=cursor: built.append(cursor) or
+                   _snap(cursor, []))
+        assert latest.get() == _snap(2, []) and latest.get() == _snap(2, [])
+        assert built == [2]
+        latest({"cursor": 7})          # an eager worker's plain dict
+        assert latest.get() == {"cursor": 7}
+
+
 def _snap(cursor, witnesses):
     return {"cursor": cursor, "total": 9, "witnesses": list(witnesses)}
 
