@@ -6,7 +6,7 @@
 	fig8 repair \
 	gallery fuzz fuzz-smoke \
 	fuzz-contract-smoke contract-matrix fault-smoke fault-sweep \
-	chaos-smoke chaos-sweep engines-smoke serve-smoke bench-e2e-smoke \
+	chaos-smoke chaos-sweep engines-smoke serve-smoke bench-e2e bench-e2e-smoke \
 	coverage all
 
 install:
@@ -120,6 +120,11 @@ bench-check:
 		benchmarks/bench_ablations.py benchmarks/bench_openssl_scale.py \
 		benchmarks/bench_range_pruning.py benchmarks/bench_repair.py \
 		--benchmark-disable -q
+
+# End-to-end benchmark (see benchmarks/e2e/README.md): every workload
+# at full size, one measured run each (each ends in a JSON line).
+bench-e2e:
+	python3 benchmarks/e2e/run.py
 
 # End-to-end benchmark smoke (see benchmarks/e2e/README.md): every
 # workload reduced, one untraced and one traced pass, with the

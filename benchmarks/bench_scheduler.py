@@ -14,15 +14,16 @@ Run directly or via ``make bench-sched`` to also write
 ``benchmarks/BENCH_sched.json``, which records the pool's checkpoint
 traffic and ``clou analyze --jobs 2`` against ``--jobs 1``:
 
-- the checkpoint messages of one pass of the end-to-end benchmark's
-  ``openssl-jobs2`` units (seed 0), with their pickled bytes under the
-  full-snapshot encoding and under the delta encoding the pool sends;
+- the checkpoint messages a pool worker sends over one pass of the
+  end-to-end benchmark's ``openssl-jobs2`` units (seed 0): their count,
+  the witnesses they carry and their pickled bytes;
 - the median wall time of ``clou analyze --engine pht --json`` under
   ``--jobs 1`` and ``--jobs 2`` on the witness-heavy crypto files, with
   a check that both print the same bytes.  ``--baseline SRC`` times the
   same commands from another source tree (the ``src`` of a checkout of
   an earlier commit, whose id is recorded when it is a git checkout) and
-  checks its output is identical too.  The committed file holds these
+  checks its output is identical too, and counts that tree's checkpoint
+  messages as well.  The committed file holds these
   before/after columns, so regenerate it with a baseline::
 
     make bench-sched BASELINE=../old-checkout/src
@@ -33,7 +34,6 @@ Also collected by pytest for the speedup invariants.
 import argparse
 import json
 import os
-import pickle
 import platform
 import shutil
 import statistics
@@ -53,8 +53,6 @@ from repro.bench.synthetic import openssl_like_source  # noqa: E402
 from repro.clou import ClouConfig  # noqa: E402
 from repro.clou.serialize import to_json  # noqa: E402
 from repro.sched import AnalysisRequest, ClouSession  # noqa: E402
-from repro.sched.scheduler import _delta_encoder  # noqa: E402
-from repro.sched.worker import execute_item, module_for  # noqa: E402
 
 CONFIG = ClouConfig(timeout_seconds=120.0)
 N_FUNCTIONS = 24
@@ -113,35 +111,57 @@ CLI_FILES = ("hmac", "chacha20", "mee_cbc", "donna")
 REPEAT = 5
 
 
-def checkpoint_traffic() -> dict:
+#: Counts the checkpoint messages a pool worker sends over one pass of
+#: the ``openssl-jobs2`` units: ``_worker_loop`` runs each item over a
+#: fake pipe end that pickles what it is sent.  It uses only names both
+#: message formats share, so it also measures an older source tree.
+_TRAFFIC = """
+import json
+import pickle
+from repro.sched.scheduler import _worker_loop
+from repro.sched.worker import execute_item, module_for
+from workloads import OpensslJobs2
+
+totals = {"messages": 0, "witnesses": 0, "bytes": 0}
+
+
+class Conn:
+    def __init__(self, payload):
+        self.inbox = [None, (0, payload, None)]
+
+    def recv(self):
+        return self.inbox.pop()
+
+    def send(self, message):
+        if message[1] == "checkpoint":
+            totals["messages"] += 1
+            totals["witnesses"] += len(message[2]["witnesses"])
+            totals["bytes"] += len(pickle.dumps(message))
+
+
+for request in OpensslJobs2(seed=0, smoke=False).requests:
+    module = module_for(request.source, request.name)
+    for function in module.public_functions():
+        _worker_loop(execute_item, Conn({
+            "kind": "analyze", "source": request.source,
+            "name": request.name, "function": function.name,
+            "engine": request.engine,
+            "config": request.config.to_dict()}))
+print(json.dumps(totals))
+"""
+
+
+def checkpoint_traffic(src: Path) -> dict:
     """Checkpoint messages, witnesses sent and pickled bytes of one
-    ``openssl-jobs2`` pass, under both encodings.  The engine emits the
-    same full snapshots either way; the counts are exact."""
-    sys.path.insert(0, str(ROOT / "benchmarks" / "e2e"))
-    from workloads import OpensslJobs2
-
-    totals = {"messages": 0, "full_witnesses": 0, "delta_witnesses": 0,
-              "full_bytes": 0, "delta_bytes": 0}
-    for request in OpensslJobs2(seed=0, smoke=False).requests:
-        module = module_for(request.source, request.name)
-        for function in module.public_functions():
-            payload = {"kind": "analyze", "source": request.source,
-                       "name": request.name, "function": function.name,
-                       "engine": request.engine,
-                       "config": request.config.to_dict()}
-            encode = _delta_encoder(None)
-
-            def count(snapshot):
-                delta = encode(snapshot)
-                totals["messages"] += 1
-                totals["full_witnesses"] += len(snapshot["witnesses"])
-                totals["delta_witnesses"] += len(delta["witnesses"])
-                totals["full_bytes"] += len(pickle.dumps(
-                    (0, "checkpoint", snapshot)))
-                totals["delta_bytes"] += len(pickle.dumps(
-                    (0, "checkpoint", delta)))
-            execute_item(payload, checkpoint=count)
-    return totals
+    ``openssl-jobs2`` pass through the pool's worker loop of the source
+    tree ``src``; the counts are exact."""
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith("REPRO_")}
+    env["PYTHONPATH"] = os.pathsep.join([str(src),
+                                         str(ROOT / "benchmarks" / "e2e")])
+    done = subprocess.run([sys.executable, "-c", _TRAFFIC], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
 
 
 def _clou(src: Path, path: Path, jobs: int) -> tuple[float, bytes]:
@@ -214,9 +234,12 @@ def main(argv: list[str] | None = None) -> int:
     for label, wall, speedup, hit_rate in scheduler_speedup_table():
         cache = f"{hit_rate * 100:.0f}%" if hit_rate is not None else "-"
         print(f"{label:22s} {wall:7.2f}s {speedup:7.2f}x {cache:>7s}")
-    traffic = checkpoint_traffic()
-    print("openssl-jobs2 pass: " + " ".join(
-        f"{key}={value}" for key, value in traffic.items()))
+    traffic = {"current": checkpoint_traffic(ROOT / "src")}
+    if args.baseline is not None:
+        traffic["baseline"] = checkpoint_traffic(args.baseline)
+    for tree, totals in traffic.items():
+        print(f"openssl-jobs2 pass, {tree}: " + " ".join(
+            f"{key}={value}" for key, value in totals.items()))
     walls = cli_walls(args.baseline)
     command = "python benchmarks/bench_scheduler.py"
     if args.baseline is not None:
@@ -231,9 +254,10 @@ def main(argv: list[str] | None = None) -> int:
                  "python": platform.python_version()},
         "checkpoint_traffic": {
             "workload": "openssl-jobs2 units, seed 0, one pass",
-            "full": "every message carries the whole snapshot",
-            "delta": "every message carries the witnesses new since the "
-                     "previous one",
+            "messages": "what the worker loop sends up the pipe; each "
+                        "carries the witnesses new since the previous one",
+            "trees": "current: this checkout; baseline: the --baseline "
+                     "source tree",
             **traffic,
         },
         "cli": {

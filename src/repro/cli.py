@@ -28,8 +28,7 @@ import time
 from repro.clou.engine import ENGINES, engine_names
 from repro.lcm.taxonomy import TransmitterClass
 from repro.sched import AnalysisRequest, ClouSession, SchedulerInterrupt, \
-    user_cache_dir
-from repro.sched.cache import default_cache_dir
+    env_cache_dir, user_cache_dir
 
 _SEVERITY_CHOICES = ("AT", "CT", "DT", "UCT", "UDT")
 
@@ -323,7 +322,7 @@ def _config_from_args(args) -> "ClouConfig":
 def _session_from_args(args) -> ClouSession:
     cache_dir = None
     if not args.no_cache:
-        cache_dir = (args.cache_dir or default_cache_dir()
+        cache_dir = (args.cache_dir or env_cache_dir()
                      or user_cache_dir())
     # The engines' cooperative budget normally fires first; the
     # wall-clock kill (2x grace) only reaps workers hung outside it.
@@ -654,7 +653,7 @@ def _run_serve(args) -> int:
 def _run_cache(args) -> int:
     from repro.sched import ResultCache
 
-    directory = (args.cache_dir or default_cache_dir() or user_cache_dir())
+    directory = (args.cache_dir or env_cache_dir() or user_cache_dir())
     cache = ResultCache(directory)
     removed, remaining = cache.gc(int(args.cache_max_mb * 1024 * 1024))
     print(f"clou cache gc: {directory}: removed {removed} entr"

@@ -149,23 +149,19 @@ class _SearchState:
 
     ``cursor``/``icursor`` count memory nodes fully processed by the
     main/interference search loops; a resumed run replays the node
-    enumeration (which is deterministic) and skips the prefix.  The
-    snapshot payload is self-contained — serialized witnesses plus the
-    coverage counters — so a fresh process can seed
+    enumeration (which is deterministic) and skips the prefix.
+
+    Each checkpoint message is a delta: the coverage counters, the
+    :class:`ClouWitness` objects found since the previous message, and
+    ``base``, the number of witnesses sent before them (a resumed run
+    starts ``base`` at its resume's count).  The engine only appends
+    witnesses, so folding the messages in order
+    (:func:`repro.sched.scheduler._fold`) rebuilds the full checkpoint:
+    the counters plus every witness so far.  That folded checkpoint is
+    self-contained, so a fresh process can seed
     :meth:`DetectionEngine.run` with it and produce a report equal to an
     uninterrupted run: the suffix is recomputed identically, and the
-    counters resume from their checkpointed values.  Witness dicts are
-    cached, so each witness is converted to a dict once; every snapshot
-    still carries the whole list (a fresh list object, so a stored
-    snapshot never grows).  The process pool sends only the witnesses
-    that are new since the previous snapshot over its pipe and rebuilds
-    the full list on the parent side (:mod:`repro.sched.scheduler`).
-
-    A sink with a true ``deferred`` attribute receives each snapshot as
-    a zero-argument callable that builds the dict on demand, equal to
-    the one an eager sink receives: the serial scheduler keeps only the
-    last one and reads it only for a retry or a salvage, so it pays no
-    witness conversion per candidate.
+    counters resume from their checkpointed values.
     """
 
     def __init__(self, resume: dict | None, emit) -> None:
@@ -173,20 +169,18 @@ class _SearchState:
         self.icursor = 0
         self.total = 0
         self._emit = emit
-        self._witness_dicts: list[dict] = []
+        self._sent = 0
         if resume:
             self.cursor = resume.get("cursor", 0)
             self.icursor = resume.get("icursor", 0)
-            self._witness_dicts = list(resume.get("witnesses", []))
+            self._sent = len(resume.get("witnesses", ()))
 
     def seed(self, report: FunctionReport, resume: dict | None) -> None:
-        """Restore a report's witnesses and counters from a checkpoint."""
+        """Restore a report's witnesses and counters from a folded
+        checkpoint (copied: the folded list keeps growing)."""
         if not resume:
             return
-        from repro.clou.serialize import witness_from_dict
-
-        report.witnesses.extend(
-            witness_from_dict(w) for w in resume.get("witnesses", []))
+        report.witnesses.extend(resume.get("witnesses", ()))
         report.candidates = resume.get("candidates", 0)
         report.pruned = resume.get("pruned", 0)
         report.skipped = resume.get("skipped", 0)
@@ -194,30 +188,17 @@ class _SearchState:
     def snapshot(self, report: FunctionReport) -> None:
         if self._emit is None:
             return
-        fields = {
+        base, self._sent = self._sent, len(report.witnesses)
+        self._emit({
             "cursor": self.cursor,
             "icursor": self.icursor,
             "total": self.total,
             "candidates": report.candidates,
             "pruned": report.pruned,
             "skipped": report.skipped,
-        }
-        # The engine only appends witnesses, so the first ``count`` of
-        # them are the snapshot's whenever it is built.
-        count = len(report.witnesses)
-        if getattr(self._emit, "deferred", False):
-            self._emit(lambda: self._payload(report, fields, count))
-        else:
-            self._emit(self._payload(report, fields, count))
-
-    def _payload(self, report: FunctionReport, fields: dict,
-                 count: int) -> dict:
-        from repro.clou.serialize import witness_dict
-
-        dicts = self._witness_dicts
-        while len(dicts) < count:
-            dicts.append(witness_dict(report.witnesses[len(dicts)]))
-        return dict(fields, witnesses=dicts[:count])
+            "witnesses": report.witnesses[base:],
+            "base": base,
+        })
 
 
 ENGINES: dict[str, type["DetectionEngine"]] = {}
@@ -346,12 +327,12 @@ class DetectionEngine:
 
     def run(self, *, resume: dict | None = None,
             checkpoint=None) -> FunctionReport:
-        """Run the search.  ``resume`` is a checkpoint payload from an
-        earlier interrupted run of the same (function, engine, config);
-        ``checkpoint`` is a callable receiving snapshot dicts after each
-        fully-processed candidate (deferred ones, if it asks, see
-        :class:`_SearchState`).  The final report is identical
-        whether or not the run was interrupted and resumed."""
+        """Run the search.  ``checkpoint`` is a callable receiving a
+        delta message after each fully-processed candidate (see
+        :class:`_SearchState`); ``resume`` is the fold of such messages
+        from an earlier interrupted run of the same (function, engine,
+        config).  The final report is identical whether or not the run
+        was interrupted and resumed."""
         started = time.monotonic()
         budget = _Budget(self.config.timeout_seconds)
         report = FunctionReport(

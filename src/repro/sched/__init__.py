@@ -14,16 +14,16 @@ Public surface:
   injector behind degradation testing.
 """
 
-from repro.sched.cache import (CACHE_DIR_ENV, ResultCache, default_cache_dir,
-                               item_cache_key, source_digest, user_cache_dir)
-from repro.sched.digest import function_digests, normalized_digest
-from repro.sched.env import SOCKETS_ENV, SOCKET_ENV, TENANT_ENV, \
-    env_cache_dir, env_fault_spec, env_jobs, env_socket, env_sockets, \
-    env_tenant
-from repro.sched.faults import FAULTS_ENV, FaultPlan, FaultSpecError, \
-    fault_point, parse_spec
-from repro.sched.scheduler import (ItemOutcome, JOBS_ENV, SchedulerInterrupt,
-                                   TransientError, default_jobs, run_items)
+from repro.sched.cache import (ResultCache, item_cache_key, source_digest,
+                               user_cache_dir)
+from repro.sched.digest import function_digests
+from repro.sched.env import CACHE_DIR_ENV, FAULTS_ENV, JOBS_ENV, \
+    SOCKETS_ENV, SOCKET_ENV, TENANT_ENV, env_cache_dir, env_fault_spec, \
+    env_jobs, env_socket, env_sockets, env_tenant
+from repro.sched.faults import FaultPlan, FaultSpecError, fault_point, \
+    parse_spec
+from repro.sched.scheduler import (ItemOutcome, SchedulerInterrupt,
+                                   TransientError, run_items)
 from repro.sched.session import AnalysisRequest, AnalysisResult, \
     ClouSession, REQUEST_SCHEMA_VERSION
 from repro.sched.stats import ItemStats, SessionStats
@@ -47,8 +47,6 @@ __all__ = [
     "TENANT_ENV",
     "SessionStats",
     "TransientError",
-    "default_cache_dir",
-    "default_jobs",
     "env_cache_dir",
     "env_fault_spec",
     "env_jobs",
@@ -58,7 +56,6 @@ __all__ = [
     "fault_point",
     "function_digests",
     "item_cache_key",
-    "normalized_digest",
     "parse_spec",
     "run_items",
     "source_digest",

@@ -36,8 +36,6 @@ import tempfile
 # digest (repro.sched.digest) instead of the whole-module digest.
 SCHEMA_VERSION = 2
 
-from repro.sched.env import CACHE_DIR_ENV, env_cache_dir  # noqa: F401
-
 
 def source_digest(source: str) -> str:
     return hashlib.sha256(source.encode("utf-8")).hexdigest()
@@ -72,13 +70,6 @@ def item_cache_key(*, kind: str, source: str = "", source_key: str = "",
         separators=(",", ":"),
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def default_cache_dir() -> str | None:
-    """``$REPRO_CACHE_DIR`` when set, else ``None`` (caching off for
-    library use; the CLI and daemon supply a user-cache default).
-    Delegates to :func:`repro.sched.env.env_cache_dir`."""
-    return env_cache_dir()
 
 
 def user_cache_dir() -> str:

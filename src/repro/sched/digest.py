@@ -40,7 +40,7 @@ import hashlib
 from repro.errors import ParseError
 from repro.minic.lexer import Token, tokenize
 
-__all__ = ["DIGEST_VERSION", "function_digests", "normalized_digest"]
+__all__ = ["DIGEST_VERSION", "function_digests"]
 
 # Bump when the normalization or closure rule changes: digests feed
 # cache keys, so a rule change must move every address.
@@ -60,17 +60,6 @@ def _normalize(tokens: list[Token]) -> list[str]:
     # reach the IR), and so are whitespace/comments/preproc (the lexer
     # already discarded them).
     return [f"{token.kind}\x00{token.text}" for token in tokens]
-
-
-def normalized_digest(source: str) -> str | None:
-    """The whole-module *normalized* digest: stable under whitespace and
-    comment edits, unlike :func:`repro.sched.cache.source_digest`.
-    ``None`` when the source does not tokenize."""
-    try:
-        tokens = tokenize(source)
-    except ParseError:
-        return None
-    return _hash(["v%d" % DIGEST_VERSION] + _normalize(tokens[:-1]))
 
 
 def _segments(tokens: list[Token]):

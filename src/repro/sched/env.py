@@ -4,9 +4,9 @@ The CLI, the library :class:`~repro.sched.ClouSession`, and the
 ``clou serve`` daemon must agree on what the environment means — a
 daemon that read ``$REPRO_JOBS`` differently from the CLI would give
 different answers depending on which front-end handled the request.
-Every accessor below is the *single* implementation; the historical
-entry points (``scheduler.default_jobs``, ``cache.default_cache_dir``,
-``faults._env_plan``) delegate here.
+Every accessor below is the *single* implementation, and its callers
+(the session, the CLI, the fault injector, the daemon client) call it
+directly.
 
 All accessors are total: malformed values degrade to the documented
 default instead of raising, so a stray ``REPRO_JOBS=lots`` never takes

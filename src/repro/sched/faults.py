@@ -63,9 +63,9 @@ import time
 import zlib
 from dataclasses import dataclass
 
-from repro.sched.env import FAULTS_ENV, env_fault_spec  # noqa: F401
+from repro.sched.env import env_fault_spec
 
-__all__ = ["ACTIONS", "FAULTS_ENV", "FaultPlan", "FaultSpecError",
+__all__ = ["ACTIONS", "FaultPlan", "FaultSpecError",
            "SERVE_ACTIONS", "SITES", "activate", "active_plan",
            "fault_point", "parse_spec"]
 

@@ -27,12 +27,13 @@ when many items share a translation unit.
 Degradation support (workers opting in via a ``supports_checkpoints``
 attribute):
 
-- **checkpoint/resume** — workers stream progress snapshots up the
-  pipe (as deltas: each witness crosses once, see :func:`_fold`); a
-  wall-clock kill, crash, or memory kill re-queues the item
-  *with its last checkpoint*, so the retry resumes instead of
-  restarting, and the merged result is identical to an uninterrupted
-  run;
+- **checkpoint/resume** — workers stream progress up the pipe as
+  deltas (the engine's messages carry only the witnesses found since
+  the previous one), and :func:`_fold` rebuilds the full checkpoint in
+  the parent, as the serial path does in-process; a wall-clock kill,
+  crash, or memory kill re-queues the item *with its last checkpoint*,
+  so the retry resumes instead of restarting, and the merged result is
+  identical to an uninterrupted run;
 - **heartbeats** — checkpoint messages double as liveness beats:
   ``stall_timeout`` kills items whose worker went silent (hung) long
   before the full ``timeout``, distinguishing hung from merely slow;
@@ -46,18 +47,15 @@ attribute):
 
 from __future__ import annotations
 
-import os
 import pickle
 import signal
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.sched.env import JOBS_ENV, env_jobs  # noqa: F401  (re-export)
-
-__all__ = ["ItemOutcome", "JOBS_ENV", "SchedulerInterrupt",
-           "TransientError", "run_items", "default_jobs"]
+__all__ = ["ItemOutcome", "SchedulerInterrupt", "TransientError",
+           "run_items"]
 
 # Parent-loop tick: bounds how late a deadline kill or crash detection
 # can fire.  Small enough to be unnoticeable, large enough to be free.
@@ -74,13 +72,6 @@ class SchedulerInterrupt(Exception):
     """The batch was interrupted (SIGINT/SIGTERM) after a clean
     shutdown: workers terminated and joined, partial checkpoints
     discarded.  The CLI maps this to exit code 130."""
-
-
-def default_jobs() -> int:
-    """``$REPRO_JOBS`` when set and valid, else 1 (serial).  Delegates
-    to :func:`repro.sched.env.env_jobs` so the CLI, library sessions,
-    and the daemon cannot diverge on what the environment means."""
-    return env_jobs(default=1)
 
 
 @dataclass
@@ -128,42 +119,27 @@ def run_items(worker: Callable[[Any], Any], payloads: list,
     return _run_serial(worker, payloads, retries=retries)
 
 
-class _LatestCheckpoint:
-    """The serial path's checkpoint sink: it keeps only the newest
-    snapshot and reads it only for a retry or a salvage, so it takes
-    snapshots ``deferred`` (zero-argument callables that build the
-    dict) and builds the one it reads, once."""
-
-    deferred = True
-
-    def __init__(self) -> None:
-        self._latest = None
-
-    def __call__(self, snapshot) -> None:
-        self._latest = snapshot
-
-    def get(self):
-        if callable(self._latest):
-            self._latest = self._latest()
-        return self._latest
-
-
 def _run_serial(worker, payloads, *, retries: int) -> list[ItemOutcome]:
     outcomes = []
     checkpoints = getattr(worker, "supports_checkpoints", False)
+    latest = None  # the fold of the current item's checkpoint messages
+
+    def fold(message):
+        nonlocal latest
+        latest = _fold(latest, message)
     for index, payload in enumerate(payloads):
         outcome = ItemOutcome(index=index)
         started = time.monotonic()
-        latest = _LatestCheckpoint()
+        latest = None
         while True:
             outcome.attempts += 1
             try:
                 if checkpoints:
-                    resume = latest.get()
+                    resume = latest
                     if resume is not None:
                         outcome.resumed += 1
                     outcome.value = worker(payload, resume=resume,
-                                           checkpoint=latest)
+                                           checkpoint=fold)
                 else:
                     outcome.value = worker(payload)
                 outcome.error = None
@@ -185,7 +161,7 @@ def _run_serial(worker, payloads, *, retries: int) -> list[ItemOutcome]:
                 outcome.error = f"{type(error).__name__}: {error}"
                 break
         if outcome.error is not None:
-            outcome.partial = latest.get()
+            outcome.partial = latest
         outcome.elapsed = time.monotonic() - started
         outcomes.append(outcome)
     return outcomes
@@ -236,40 +212,17 @@ def _apply_memory_limit(limit_mb: int | None) -> None:
         pass  # platform without RLIMIT_AS: ceiling is best-effort
 
 
-def _delta_encoder(resume):
-    """The worker-side half of the checkpoint delta encoding: a function
-    turning each full snapshot of one dispatch into the message that
-    crosses the pipe.
-
-    A snapshot whose ``witnesses`` list extends the previous one (the
-    engine only appends, and a resumed run starts from the resume's
-    list) is sent as its scalar fields, the witnesses not sent yet, and
-    ``base``, the count already sent.  Each witness then crosses the
-    pipe once per attempt, instead of once per later candidate.
-    Snapshots without a ``witnesses`` key pass through unchanged."""
-    sent = len(resume["witnesses"]) \
-        if isinstance(resume, dict) and "witnesses" in resume else 0
-
-    def encode(snapshot):
-        nonlocal sent
-        if not isinstance(snapshot, dict) or "witnesses" not in snapshot:
-            return snapshot
-        witnesses = snapshot["witnesses"]
-        delta = dict(snapshot, witnesses=witnesses[sent:], base=sent)
-        sent = len(witnesses)
-        return delta
-    return encode
-
-
 def _fold(previous, delta):
-    """The parent-side half: rebuild the full checkpoint from the last
-    one and a message made by :func:`_delta_encoder`, as
-    ``previous["witnesses"] + delta["witnesses"]``.  The list of
-    ``previous`` is extended in place (its dict is dropped), so the
-    parent's work per message is linear in the new witnesses.  ``base``
-    must equal the witnesses ``previous`` holds (0 starts a new list): a
-    message that does not extend the last checkpoint raises instead of
-    leaving a gap or dropping witnesses."""
+    """Rebuild the full checkpoint from the last one and a checkpoint
+    message (see :class:`repro.clou.engine._SearchState`), as
+    ``previous["witnesses"] + delta["witnesses"]``: the pool's parent
+    folds what its workers stream, the serial path what the engine
+    emits in-process.  The list of ``previous`` is extended in place
+    (its dict is dropped), so the work per message is linear in the new
+    witnesses.  ``base`` must equal the witnesses ``previous`` holds (0
+    starts a new list): a message that does not extend the last
+    checkpoint raises instead of leaving a gap or dropping witnesses.
+    Messages without ``base`` replace the checkpoint as they are."""
     if not isinstance(delta, dict) or "base" not in delta:
         return delta
     full = dict(delta)
@@ -288,10 +241,9 @@ def _fold(previous, delta):
 def _worker_loop(worker, conn, memory_limit_mb=None):
     """Runs in the child: receive ``(index, payload, resume)``, send
     ``(index, status, value)`` — plus interim ``"checkpoint"`` messages
-    when the worker supports them (these double as heartbeats, and carry
-    only the witnesses found since the previous one; see
-    :func:`_delta_encoder`).  Exits on the ``None`` sentinel or a closed
-    pipe."""
+    when the worker supports them (these double as heartbeats; the
+    parent folds them with :func:`_fold`).  Exits on the ``None``
+    sentinel or a closed pipe."""
     _apply_memory_limit(memory_limit_mb)
     checkpoints = getattr(worker, "supports_checkpoints", False)
     while True:
@@ -304,10 +256,9 @@ def _worker_loop(worker, conn, memory_limit_mb=None):
         index, payload, resume = message
         try:
             if checkpoints:
-                def emit(snapshot, _index=index,
-                         _encode=_delta_encoder(resume)):
+                def emit(message, _index=index):
                     try:
-                        conn.send((_index, "checkpoint", _encode(snapshot)))
+                        conn.send((_index, "checkpoint", message))
                     except (OSError, ValueError):
                         pass  # parent gone; the terminal send will fail too
                 value = worker(payload, resume=resume, checkpoint=emit)
@@ -343,8 +294,8 @@ class _Pending:
     elapsed: float = 0.0
     last_error: str | None = None
     crashed: bool = False
-    checkpoint: Any = None     # last snapshot streamed up the pipe
-    last_beat: float = 0.0     # when that snapshot (or the send) happened
+    checkpoint: Any = None     # fold of the messages streamed up the pipe
+    last_beat: float = 0.0     # when that message (or the send) happened
     resumed: int = 0
     memory_killed: bool = False
     hung: bool = False

@@ -41,9 +41,10 @@ from repro.clou.serialize import function_report_dict, \
     repair_result_dict, repair_result_from_dict
 from repro.errors import AnalysisError, ReproError
 from repro.sched import worker
-from repro.sched.cache import ResultCache, default_cache_dir, item_cache_key
+from repro.sched.cache import ResultCache, item_cache_key
 from repro.sched.digest import function_digests
-from repro.sched.scheduler import default_jobs, run_items
+from repro.sched.env import env_cache_dir, env_jobs
+from repro.sched.scheduler import run_items
 from repro.sched.stats import ItemStats, SessionStats
 
 __all__ = ["AnalysisRequest", "AnalysisResult", "ClouSession",
@@ -69,7 +70,7 @@ class AnalysisRequest:
 
     This is the single currency of the session API *and* the daemon
     wire protocol: build one with :meth:`analyze` / :meth:`repair` /
-    :meth:`lint` / :meth:`for_module`, pass it to
+    :meth:`lint`, pass it to
     :meth:`ClouSession.run` (or the single-request convenience methods),
     or ship it across a socket via :meth:`to_dict` /
     :meth:`from_dict`.
@@ -84,9 +85,6 @@ class AnalysisRequest:
     secrets: tuple[str, ...] = ()       # lint: secret symbol names
     public: tuple[str, ...] = ()        # lint: exemptions from the default
     strategy: str = "lfence"            # repair: 'lfence' | 'protect'
-    #: Pre-compiled :class:`repro.ir.Module` for in-process analysis —
-    #: never serialized, never cached (there is no source to key on).
-    module: object | None = field(default=None, compare=False, repr=False)
 
     # -- constructors ---------------------------------------------------
 
@@ -116,25 +114,11 @@ class AnalysisRequest:
         return cls(source=source, kind="lint", name=name,
                    secrets=tuple(secrets), public=tuple(public))
 
-    @classmethod
-    def for_module(cls, module, *, engine: str = "pht",
-                   functions: tuple[str, ...] = (),
-                   config: ClouConfig | None = None) -> "AnalysisRequest":
-        """An analyze request over a pre-compiled IR module.  Runs
-        serial and in-process (no cache, no worker pool — the module
-        never crosses a process or wire boundary)."""
-        return cls(source="", kind="analyze", engine=engine,
-                   name=getattr(module, "name", "") or "<module>",
-                   functions=tuple(functions), config=config, module=module)
-
     # -- wire form ----------------------------------------------------
 
     def to_dict(self) -> dict:
         """The versioned wire dict (byte-stable once JSON-encoded with
-        sorted keys).  Module-backed requests cannot cross the wire."""
-        if self.module is not None:
-            raise ValueError("module-backed AnalysisRequests are "
-                             "in-process only and cannot be serialized")
+        sorted keys)."""
         return {
             "v": REQUEST_SCHEMA_VERSION,
             "kind": self.kind,
@@ -260,7 +244,6 @@ class _Item:
     cached_value: object = None
     outcome_value: object = None
     stats: ItemStats | None = None
-    local: bool = False            # module-backed: run in-process, serial
     corrupt: int = 0               # corrupt cache entries hit by the probe
 
 
@@ -307,12 +290,12 @@ class ClouSession:
                  memory_limit_mb: int | None = None,
                  stall_timeout: float | None = None):
         self.config = config if config is not None else CLOU_DEFAULT_CONFIG
-        self.jobs = max(1, jobs) if jobs is not None else default_jobs()
+        self.jobs = max(1, jobs) if jobs is not None else env_jobs(default=1)
         self.timeout = timeout
         self.retries = retries
         self.memory_limit_mb = memory_limit_mb
         self.stall_timeout = stall_timeout
-        directory = cache_dir if cache_dir is not None else default_cache_dir()
+        directory = cache_dir if cache_dir is not None else env_cache_dir()
         self.cache = ResultCache(directory) if (cache and directory) else None
         self.stats = SessionStats(jobs=self.jobs)
         self._resident: "OrderedDict[str, object]" = OrderedDict()
@@ -371,8 +354,7 @@ class ClouSession:
         return result
 
     def analyze(self, request: AnalysisRequest) -> ModuleReport:
-        """Analyze one ``analyze`` request (source text or
-        :meth:`AnalysisRequest.for_module`) and return its
+        """Analyze one ``analyze`` request and return its
         :class:`ModuleReport`; raises on parse errors."""
         return self._single(request, "analyze").report
 
@@ -416,8 +398,6 @@ class ClouSession:
             raise AnalysisError(
                 f"unknown engine {request.engine!r}; choose from "
                 f"{sorted(ENGINES)}")
-        if request.module is not None:
-            return self._expand_module(index, request, config)
         module = worker.module_for(request.source, request.name)
         names = request.functions or tuple(
             f.name for f in module.public_functions())
@@ -454,33 +434,12 @@ class ClouSession:
                 label=f"{function_name}/{request.engine}"))
         return items
 
-    def _expand_module(self, index: int, request: AnalysisRequest,
-                       config: ClouConfig) -> list[_Item]:
-        """Module-backed analyze requests: one in-process serial item
-        per function (uncached and unscheduled — a compiled module has
-        no source to key on and never crosses a process boundary)."""
-        module = request.module
-        names = request.functions or tuple(
-            f.name for f in module.public_functions())
-        return [
-            _Item(
-                request_index=index, function=function_name,
-                payload={"kind": "analyze", "module": module,
-                         "name": request.name, "function": function_name,
-                         "engine": request.engine, "config": config},
-                label=f"{function_name}/{request.engine}", local=True)
-            for function_name in names
-        ]
-
     # -- execution ---------------------------------------------------------
 
     def _execute(self, items: list[_Item],
                  deadline: float | None = None) -> None:
         misses: list[_Item] = []
         for item in items:
-            if item.local:
-                self._execute_local(item)
-                continue
             before = self.cache.corrupt if self.cache is not None else 0
             cached = self._probe_cache(item)
             item.corrupt = ((self.cache.corrupt - before)
@@ -525,18 +484,6 @@ class ClouSession:
                 self._store_cache(item)
             else:
                 item.outcome_value = self._errored_value(item, outcome)
-
-    def _execute_local(self, item: _Item) -> None:
-        """Run one module-backed item inline (serial, uncached)."""
-        started = time.monotonic()
-        value = worker.analyze_module_item(
-            item.payload["module"], item.payload["function"],
-            item.payload["engine"], item.payload["config"])
-        item.outcome_value = value
-        item.stats = ItemStats(
-            label=item.label, kind="analyze",
-            elapsed=time.monotonic() - started,
-            errored=value.error is not None)
 
     def _errored_value(self, item: _Item, outcome):
         kind = item.payload["kind"]

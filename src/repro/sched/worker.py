@@ -127,20 +127,6 @@ def analyze_item(source: str, name: str, function: str, engine: str,
                               error=str(error))
 
 
-def analyze_module_item(module, function: str, engine: str,
-                        config: ClouConfig) -> FunctionReport:
-    """One (function, engine) run over a pre-compiled module — the
-    in-process arm of :meth:`ClouSession.run` for
-    :meth:`AnalysisRequest.for_module` requests (no memo: the module
-    object is caller-owned and has no content key)."""
-    try:
-        aeg = SAEG(build_acfg(module, function).function)
-        return ENGINES[engine](aeg, config).run()
-    except ReproError as error:
-        return FunctionReport(function=function, engine=engine,
-                              error=str(error))
-
-
 def repair_item(source: str, name: str, function: str, engine: str,
                 config: ClouConfig, strategy: str) -> RepairResult:
     if engine not in ENGINES:
@@ -165,22 +151,19 @@ def lint_item(source: str, name: str, secrets: tuple[str, ...],
 
 def report_from_checkpoint(payload: dict, partial: dict,
                            error: str) -> FunctionReport | None:
-    """Salvage a partial :class:`FunctionReport` from the last
+    """Salvage a partial :class:`FunctionReport` from the last (folded)
     checkpoint of a permanently-failed analyze item.  The unexamined
     suffix counts as skipped, so the verdict degrades to ``unknown``
     (never to ``safe``) and the report is barred from the clean-results
     cache."""
     if payload.get("kind") != "analyze" or not partial:
         return None
-    from repro.clou.serialize import witness_from_dict
-
     total = partial.get("total", 0)
     cursor = partial.get("cursor", 0)
     report = FunctionReport(
         function=payload["function"],
         engine=payload["engine"],
-        witnesses=[witness_from_dict(w)
-                   for w in partial.get("witnesses", [])],
+        witnesses=list(partial.get("witnesses", ())),
         timed_out=True,
         error=error,
         candidates=partial.get("candidates", 0),

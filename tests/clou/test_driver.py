@@ -52,14 +52,14 @@ class TestDriver:
 
     def test_analysis_error_captured_per_function(self):
         # Unknown function: surfaced as a report error, not an exception.
-        report = _session().analyze(AnalysisRequest.for_module(
-            compile_c(MULTI), engine="pht", functions=("nonexistent",)))
+        report = _session().analyze(AnalysisRequest.analyze(
+            MULTI, engine="pht", functions=("nonexistent",)))
         [function_report] = report.functions
         assert function_report.error
 
     def test_module_report_aggregation(self):
         report = _session().analyze(
-            AnalysisRequest.for_module(compile_c(MULTI), engine="pht"))
+            AnalysisRequest.analyze(MULTI, engine="pht"))
         assert report.leaky
         assert report.elapsed >= 0
         assert "functions" in report.summary()
@@ -73,8 +73,8 @@ class TestDriver:
         assert report.total(TC.CONTROL) == 0  # CT search disabled
 
     def test_empty_module(self):
-        report = _session().analyze(AnalysisRequest.for_module(
-            compile_c("uint8_t g;"), engine="pht"))
+        report = _session().analyze(
+            AnalysisRequest.analyze("uint8_t g;", engine="pht"))
         assert not report.functions
         assert not report.leaky
 

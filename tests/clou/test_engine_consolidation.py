@@ -9,7 +9,7 @@ and must agree on:
 - the raw witness list, in order (``repair``'s hitting set and the
   §6.2.3 grouping read every witness, not only the transmitters);
 - ``candidates``, ``pruned`` and ``skipped``;
-- the stream of checkpoint snapshots.
+- the stream of checkpoint messages.
 
 Corpora: every litmus program, the crypto corpus, the Fig. 8 scaling
 synthetics up to 60 rounds and the FWD synthetics.  The largest sources

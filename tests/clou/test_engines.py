@@ -249,9 +249,7 @@ class TestReports:
 
     def test_unknown_engine(self):
         from repro.errors import AnalysisError
-        from repro.minic import compile_c
 
-        module = compile_c(SPECTRE_V1)
         with pytest.raises(AnalysisError, match="unknown engine"):
-            _SESSION.analyze(AnalysisRequest.for_module(module, engine="nope",
-                                    functions=("victim",)))
+            _SESSION.analyze(AnalysisRequest.analyze(
+                SPECTRE_V1, engine="nope", functions=("victim",)))

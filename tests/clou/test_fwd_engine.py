@@ -7,6 +7,8 @@ honors the determinism contracts (jobs-invariance, cache-invariance,
 checkpoint/resume) the rest of the stack guarantees.
 """
 
+from functools import reduce
+
 import pytest
 
 from repro.bench.suites import by_name, litmus_fwd, litmus_new
@@ -17,6 +19,7 @@ from repro.clou.engine import ENGINES
 from repro.clou.serialize import function_report_dict, to_json
 from repro.minic import compile_c
 from repro.sched import AnalysisRequest, ClouSession
+from repro.sched.scheduler import _fold
 
 #: program -> transmitter classes the fwd engine finds (§6.1's table):
 #: fwd04 leaks only through a corrupted branch condition, fwd05 through
@@ -158,9 +161,9 @@ class TestDeterminism:
         uninterrupted = run(collect=snapshots.append)
         reference = function_report_dict(uninterrupted, stable=True)
         assert snapshots, "fwd engine emitted no checkpoints"
-        for snapshot in (snapshots[0], snapshots[len(snapshots) // 2],
-                         snapshots[-1]):
-            resumed = run(resume=snapshot)
+        for index in (0, len(snapshots) // 2, len(snapshots) - 1):
+            # Each message is a delta: resume from the prefix's fold.
+            resumed = run(resume=reduce(_fold, snapshots[:index + 1], None))
             assert function_report_dict(resumed, stable=True) == reference
 
     def test_resumed_runs_preserve_pruned_counter(self):
@@ -177,7 +180,8 @@ class TestDeterminism:
 
         snapshots = []
         uninterrupted = run(collect=snapshots.append)
-        resumed = run(resume=snapshots[len(snapshots) // 2])
+        middle = len(snapshots) // 2
+        resumed = run(resume=reduce(_fold, snapshots[:middle + 1], None))
         assert resumed.pruned == uninterrupted.pruned
 
 

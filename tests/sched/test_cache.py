@@ -3,8 +3,10 @@
 import json
 import os
 
-from repro.sched import ResultCache, item_cache_key, source_digest
-from repro.sched.cache import CACHE_DIR_ENV, default_cache_dir, user_cache_dir
+from repro.sched import ClouSession, ResultCache, item_cache_key, \
+    source_digest
+from repro.sched.cache import user_cache_dir
+from repro.sched.env import CACHE_DIR_ENV
 
 SOURCE = "uint8_t A[16];\nvoid f(uint64_t y) { A[y & 15] = 0; }\n"
 
@@ -165,9 +167,9 @@ class TestCacheGC:
 
     def test_default_dir_reads_env(self, monkeypatch, tmp_path):
         monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
-        assert default_cache_dir() is None
+        assert ClouSession().cache is None
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
-        assert default_cache_dir() == str(tmp_path)
+        assert ClouSession().cache.root == str(tmp_path)
 
     def test_user_cache_dir_honours_xdg(self, monkeypatch, tmp_path):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))

@@ -1,11 +1,12 @@
-"""The checkpoint stream over the worker pipe: each witness crosses the
-pipe once per attempt, and the parent rebuilds every full snapshot.
+"""The checkpoint stream: the engine emits deltas, each witness crosses
+the worker pipe once per attempt, and :func:`_fold` rebuilds every full
+checkpoint, in the pool's parent and on the serial path alike.
 
 ``_worker_loop`` runs in-process over a fake connection, on a
 witness-heavy item (hmac under pht: 443 candidates, 5000 witnesses), so
-the messages are exactly what a pool worker would send.  The pool tests
-crash a worker late, after witnesses exist, so the parent's fold runs
-with ``base > 0`` both within an attempt and across a resume.
+the messages are exactly what a pool worker would send.  The crash
+tests kill an item late, after witnesses exist, so the fold runs with
+``base > 0`` both within an attempt and across a resume.
 """
 
 import os
@@ -17,7 +18,7 @@ import pytest
 from repro.clou import ClouConfig
 from repro.clou.serialize import function_report_dict, witness_dict
 from repro.sched import AnalysisRequest, ClouSession
-from repro.sched.scheduler import _delta_encoder, _fold, _worker_loop
+from repro.sched.scheduler import _fold, _worker_loop
 from repro.sched.worker import execute_item
 
 HMAC = os.path.join(os.path.dirname(__file__), "..", "..", "src", "repro",
@@ -29,6 +30,10 @@ with open(HMAC) as _handle:
 PAYLOAD = {"kind": "analyze", "source": SOURCE, "name": "hmac.c",
            "function": "crypto_auth_hmac", "engine": "pht",
            "config": ClouConfig().to_dict()}
+
+#: The keys of a folded checkpoint, in the order the engine writes them.
+KEYS = ["cursor", "icursor", "total", "candidates", "pruned", "skipped",
+        "witnesses"]
 
 
 class _FakeConn:
@@ -57,23 +62,34 @@ def _pipe_stream(resume=None):
     return [value for _, _, value in checkpoints], terminal
 
 
-def _snapshots(resume=None):
-    """The full snapshots the engine hands its checkpoint callable."""
-    snapshots = []
-    execute_item(PAYLOAD, resume=resume, checkpoint=snapshots.append)
-    return snapshots
+def _messages(resume=None):
+    """The messages the engine hands its checkpoint callable."""
+    messages = []
+    execute_item(PAYLOAD, resume=resume, checkpoint=messages.append)
+    return messages
+
+
+def _folded(messages, start=None):
+    """Every full checkpoint of a stream: the fold of each prefix
+    (copied, since the fold extends one list in place)."""
+    folded, checkpoint = [], pickle.loads(pickle.dumps(start))
+    for message in messages:
+        checkpoint = _fold(checkpoint, message)
+        folded.append(dict(checkpoint,
+                           witnesses=list(checkpoint["witnesses"])))
+    return folded
 
 
 @pytest.fixture(scope="module")
-def snapshots():
-    return _snapshots()
+def messages():
+    return _messages()
 
 
 class TestWorkerEncoding:
-    def test_each_witness_crosses_the_pipe_once(self, snapshots):
+    def test_each_witness_crosses_the_pipe_once(self, messages):
         deltas, (_, status, report) = _pipe_stream()
         assert status == "ok"
-        assert len(deltas) == len(snapshots)
+        assert deltas == messages
         assert len(report.witnesses) == 5000
         assert sum(len(d["witnesses"]) for d in deltas) \
             == len(report.witnesses)
@@ -81,121 +97,69 @@ class TestWorkerEncoding:
         for delta in deltas:
             assert delta["base"] == sent
             sent += len(delta["witnesses"])
+        # A candidate that found nothing sends no witness at all.
+        assert any(not delta["witnesses"] for delta in deltas)
 
-    def test_folding_every_prefix_reproduces_the_snapshot(self, snapshots):
-        deltas, _ = _pipe_stream()
-        folded = None
-        for delta, snapshot in zip(deltas, snapshots):
-            folded = _fold(folded, delta)
-            assert folded == snapshot
-            assert list(folded) == list(snapshot)  # key order: same pickle
+    def test_folding_every_prefix_reproduces_the_snapshot(self):
+        deltas, (_, _, report) = _pipe_stream()
+        for delta, folded in zip(deltas, _folded(deltas)):
+            assert list(folded) == KEYS  # key order: same pickle
+            count = delta["base"] + len(delta["witnesses"])
+            assert folded["witnesses"] == report.witnesses[:count]
+            assert {key: folded[key] for key in KEYS[:-1]} \
+                == {key: delta[key] for key in KEYS[:-1]}
+        assert folded["candidates"] == report.candidates
 
     def test_resumed_dispatch_sends_only_witnesses_past_the_resume(
-            self, snapshots):
-        resume = snapshots[39]
+            self, messages):
+        full = _folded(messages)
+        resume = full[39]
         assert len(resume["witnesses"]) == 132
         deltas, (_, status, report) = _pipe_stream(resume=resume)
         assert status == "ok"
         assert deltas[0]["base"] == 132
         assert sum(len(d["witnesses"]) for d in deltas) \
             == len(report.witnesses) - 132
-        folded = pickle.loads(pickle.dumps(resume))
-        for delta, snapshot in zip(deltas, _snapshots(resume=resume)):
-            folded = _fold(folded, delta)
-            assert folded == snapshot
-
-
-class _Deferred:
-    """A sink that asks for deferred snapshots, as the serial path does."""
-
-    deferred = True
-
-    def __init__(self):
-        self.thunks = []
-
-    def __call__(self, thunk):
-        self.thunks.append(thunk)
-
-
-class TestDeferredSnapshots:
-    def test_deferred_snapshots_equal_the_eager_ones(self, snapshots):
-        sink = _Deferred()
-        execute_item(PAYLOAD, checkpoint=sink)
-        assert all(callable(thunk) for thunk in sink.thunks)
-        assert len(sink.thunks) == len(snapshots)
-        # Built out of order and twice: each equals its eager snapshot.
-        for index in (len(snapshots) - 1, 39, 0, 39):
-            built = sink.thunks[index]()
-            assert built == snapshots[index]
-            assert list(built) == list(snapshots[index])  # same pickle
-
-    def test_deferred_resume_stream_equals_the_eager_one(self, snapshots):
-        sink = _Deferred()
-        execute_item(PAYLOAD, resume=snapshots[39], checkpoint=sink)
-        assert [thunk() for thunk in sink.thunks] \
-            == _snapshots(resume=snapshots[39])
-
-    def test_serial_sink_builds_only_the_snapshot_it_reads(self):
-        from repro.sched.scheduler import _LatestCheckpoint
-
-        built = []
-        latest = _LatestCheckpoint()
-        assert latest.deferred and latest.get() is None
-        for cursor in range(3):
-            latest(lambda cursor=cursor: built.append(cursor) or
-                   _snap(cursor, []))
-        assert latest.get() == _snap(2, []) and latest.get() == _snap(2, [])
-        assert built == [2]
-        latest({"cursor": 7})          # an eager worker's plain dict
-        assert latest.get() == {"cursor": 7}
+        assert _folded(deltas, start=resume) == full[40:]
+        assert _folded(_messages(resume=resume), start=resume) == full[40:]
 
 
 def _snap(cursor, witnesses):
     return {"cursor": cursor, "total": 9, "witnesses": list(witnesses)}
 
 
+def _delta(cursor, witnesses, base):
+    return dict(_snap(cursor, witnesses), base=base)
+
+
 class TestFold:
     def test_first_message(self):
-        encode = _delta_encoder(None)
-        delta = encode(_snap(1, ["a", "b"]))
-        assert delta == {"cursor": 1, "total": 9, "witnesses": ["a", "b"],
-                         "base": 0}
-        assert _fold(None, delta) == _snap(1, ["a", "b"])
+        assert _fold(None, _delta(1, ["a", "b"], 0)) == _snap(1, ["a", "b"])
 
     def test_incremental_message_extends_the_previous_list(self):
-        encode = _delta_encoder(None)
-        first = _fold(None, encode(_snap(1, ["a"])))
-        delta = encode(_snap(2, ["a", "b", "c"]))
-        assert delta["witnesses"] == ["b", "c"] and delta["base"] == 1
+        first = _fold(None, _delta(1, ["a"], 0))
         witnesses = first["witnesses"]
-        second = _fold(first, delta)
+        second = _fold(first, _delta(2, ["b", "c"], 1))
         assert second == _snap(2, ["a", "b", "c"])
         assert second["witnesses"] is witnesses
-        # A candidate that found nothing sends no witness at all.
-        assert encode(_snap(3, ["a", "b", "c"]))["witnesses"] == []
+        assert _fold(second, _delta(3, [], 3)) == _snap(3, ["a", "b", "c"])
 
     def test_redispatch_after_resume(self):
         resume = _snap(2, ["a", "b"])
-        encode = _delta_encoder(resume)
-        delta = encode(_snap(3, ["a", "b", "c"]))
-        assert delta["base"] == 2 and delta["witnesses"] == ["c"]
-        assert _fold(pickle.loads(pickle.dumps(resume)), delta) \
+        assert _fold(pickle.loads(pickle.dumps(resume)), _delta(3, ["c"], 2)) \
             == _snap(3, ["a", "b", "c"])
 
     def test_delta_that_does_not_extend_the_last_checkpoint_raises(self):
         previous = _snap(2, ["a", "b"])
         for base in (1, 3):
-            delta = dict(_snap(3, ["c"]), base=base)
             with pytest.raises(RuntimeError, match="starts at witness"):
-                _fold(previous, delta)
+                _fold(previous, _delta(3, ["c"], base))
             assert previous == _snap(2, ["a", "b"])
         with pytest.raises(RuntimeError, match="starts at witness"):
-            _fold(None, dict(_snap(1, ["a"]), base=1))
+            _fold(None, _delta(1, ["a"], 1))
 
     def test_snapshots_without_witnesses_pass_through(self):
-        encode = _delta_encoder({"cursor": 4})
         for snapshot in ({"cursor": 5}, 7, None):
-            assert encode(snapshot) == snapshot
             assert _fold({"cursor": 4}, snapshot) == snapshot
 
 
@@ -217,6 +181,15 @@ class TestLateCrashes:
         faulted, session = _analyze(
             "crash@engine.candidate#40;crash@engine.candidate#90",
             jobs=2, timeout=60, retries=2)
+        assert session.stats.resumed == 2
+        assert _stable(faulted) == _stable(clean)
+
+    def test_serial_double_memory_kill_resumes_to_the_clean_report(self):
+        # The serial twin: the in-process fold, resumed twice.
+        clean, _ = _analyze(jobs=1)
+        faulted, session = _analyze(
+            "memory@engine.candidate#40;memory@engine.candidate#90",
+            jobs=1, retries=2)
         assert session.stats.resumed == 2
         assert _stable(faulted) == _stable(clean)
 

@@ -8,8 +8,7 @@ preamble edits.  Malformed input must degrade to ``None`` (module
 granularity), never to a wrong split."""
 
 from repro.minic.lexer import tokenize
-from repro.sched.digest import (_segments, function_digests,
-                                normalized_digest)
+from repro.sched.digest import _segments, function_digests
 
 TWO_FUNCTIONS = """
 int table[16];
@@ -59,15 +58,15 @@ class TestStability:
     def test_whitespace_and_comments_move_nothing(self):
         reformatted = TWO_FUNCTIONS.replace("\n", "\n\n") \
             .replace("return", "/* hot path */ return")
-        assert normalized_digest(reformatted) == \
-            normalized_digest(TWO_FUNCTIONS)
         assert function_digests(reformatted) == \
             function_digests(TWO_FUNCTIONS)
 
     def test_token_split_is_not_confused_by_spacing(self):
         # "int x" vs "in tx" must not collide: tokens are hashed with
         # separators, not concatenated.
-        assert normalized_digest("int x;") != normalized_digest("int xy;")
+        body = "\nint f(void) { return 0; }"
+        assert function_digests("int ab c;" + body) != \
+            function_digests("int a bc;" + body)
 
     def test_body_edit_moves_only_that_function(self):
         edited = TWO_FUNCTIONS.replace("y * 2", "y * 3")
@@ -109,7 +108,6 @@ int bystander(int x) { return x; }
 
 class TestFallback:
     def test_untokenizable_source_is_none(self):
-        assert normalized_digest('int f; "unterminated') is None
         assert function_digests('int f; "unterminated') is None
 
     def test_unsplittable_source_is_none(self):

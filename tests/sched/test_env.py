@@ -68,21 +68,3 @@ class TestSocket:
         monkeypatch.setenv(SOCKET_ENV, "/run/clou.sock")
         assert env_socket() == "/run/clou.sock"
 
-
-class TestDelegation:
-    """The historical entry points must agree with the env module —
-    one meaning per variable, whichever front-end reads it."""
-
-    def test_default_jobs_delegates(self, monkeypatch):
-        from repro.sched.scheduler import default_jobs
-
-        monkeypatch.setenv(JOBS_ENV, "5")
-        assert default_jobs() == 5
-        monkeypatch.setenv(JOBS_ENV, "bogus")
-        assert default_jobs() == 1
-
-    def test_default_cache_dir_delegates(self, monkeypatch):
-        from repro.sched.cache import default_cache_dir
-
-        monkeypatch.setenv(CACHE_DIR_ENV, "/tmp/elsewhere")
-        assert default_cache_dir() == "/tmp/elsewhere"

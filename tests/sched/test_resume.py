@@ -7,6 +7,7 @@ visible in the coverage accounting instead of silently missing.
 """
 
 import os
+from functools import reduce
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.clou.engine import ENGINES
 from repro.clou.serialize import function_report_dict, to_json
 from repro.minic import compile_c
 from repro.sched import AnalysisRequest, ClouSession, SchedulerInterrupt, run_items
+from repro.sched.scheduler import _fold
 
 VICTIM = """
 uint8_t A[16];
@@ -40,6 +42,12 @@ def _engine_run(resume=None, collect=None):
         resume=resume, checkpoint=collect)
 
 
+def _checkpoint(messages, index):
+    """The full checkpoint after ``messages[index]``: the fold of the
+    stream's prefix (each message carries only its new witnesses)."""
+    return reduce(_fold, messages[:index + 1], None)
+
+
 class TestEngineResume:
     def test_checkpoints_stream_monotone_cursors(self):
         snapshots = []
@@ -54,14 +62,16 @@ class TestEngineResume:
         snapshots = []
         uninterrupted = _engine_run(collect=snapshots.append)
         reference = function_report_dict(uninterrupted, stable=True)
-        middle = snapshots[int(fraction * (len(snapshots) - 1))]
+        middle = _checkpoint(snapshots,
+                             int(fraction * (len(snapshots) - 1)))
         resumed = _engine_run(resume=middle)
         assert function_report_dict(resumed, stable=True) == reference
 
     def test_resume_does_not_duplicate_witnesses(self):
         snapshots = []
         uninterrupted = _engine_run(collect=snapshots.append)
-        resumed = _engine_run(resume=snapshots[len(snapshots) // 2])
+        resumed = _engine_run(
+            resume=_checkpoint(snapshots, len(snapshots) // 2))
         assert len(resumed.witnesses) == len(uninterrupted.witnesses)
         keys = [(w.klass, str(w.transmit), str(w.primitive))
                 for w in resumed.witnesses]

@@ -6,8 +6,8 @@ import time
 
 import pytest
 
-from repro.sched import ItemOutcome, TransientError, default_jobs, run_items
-from repro.sched.scheduler import JOBS_ENV
+from repro.sched import ClouSession, ItemOutcome, TransientError, run_items
+from repro.sched.env import JOBS_ENV
 
 # -- top-level workers (must pickle under spawn) ------------------------
 
@@ -151,6 +151,9 @@ class TestParallel:
 
 class TestDefaults:
     def test_default_jobs_reads_env(self, monkeypatch):
+        def default_jobs():
+            return ClouSession(cache=False).jobs
+
         monkeypatch.delenv(JOBS_ENV, raising=False)
         assert default_jobs() == 1
         monkeypatch.setenv(JOBS_ENV, "6")

@@ -10,7 +10,6 @@ import json
 import pytest
 
 from repro.clou import ClouConfig
-from repro.ir import Module
 from repro.sched import (AnalysisRequest, AnalysisResult, ClouSession,
                          REQUEST_SCHEMA_VERSION, SessionStats)
 
@@ -66,11 +65,6 @@ class TestRequestWire:
         data["kind"] = "transmogrify"
         with pytest.raises(ValueError, match="kind"):
             AnalysisRequest.from_dict(data)
-
-    def test_module_backed_refuses_the_wire(self):
-        request = AnalysisRequest.for_module(Module(name="m"))
-        with pytest.raises(ValueError, match="module-backed"):
-            request.to_dict()
 
 
 class TestResultWire:
