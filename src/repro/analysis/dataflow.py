@@ -1,9 +1,11 @@
 """Generic worklist dataflow solver over ``repro.ir`` CFGs.
 
-A :class:`DataflowProblem` supplies a lattice, a direction, a boundary
-state, and a per-instruction transfer function; :func:`solve` runs the
-classical iterative worklist algorithm to the least fixpoint and returns
-per-block states plus a replay API for per-instruction queries.
+A :class:`DataflowProblem` supplies a lattice, an entry state and a
+per-instruction transfer function; :func:`solve` runs the classical
+forward worklist algorithm to the least fixpoint and returns per-block
+entry states plus a per-block replay of the states between
+instructions.  Its two clients are the reaching stores behind the
+interval analysis and the per-function secret taint of the lint.
 
 States are treated as immutable values: transfer functions must return a
 fresh state (or the input unchanged) rather than mutating in place, and
@@ -15,9 +17,9 @@ finite height or clients must widen in their transfer functions.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
-from repro.ir import BasicBlock, Function, Instruction
+from repro.ir import Function, Instruction
 
 from .cfg import BlockCFG
 
@@ -33,23 +35,6 @@ class Lattice:
     def join(self, a: State, b: State) -> State:
         raise NotImplementedError
 
-    def leq(self, a: State, b: State) -> bool:
-        """Partial order; default derives it from join."""
-        return self.join(a, b) == b
-
-
-class SetLattice(Lattice):
-    """Powerset lattice (may-analysis): frozensets ordered by inclusion."""
-
-    def bottom(self) -> frozenset:
-        return frozenset()
-
-    def join(self, a: frozenset, b: frozenset) -> frozenset:
-        return a | b
-
-    def leq(self, a: frozenset, b: frozenset) -> bool:
-        return a <= b
-
 
 class BitsetLattice(Lattice):
     """Powerset lattice over Python-int bitsets: join is big-int OR.
@@ -63,9 +48,6 @@ class BitsetLattice(Lattice):
 
     def join(self, a: int, b: int) -> int:
         return a | b
-
-    def leq(self, a: int, b: int) -> bool:
-        return a & ~b == 0
 
 
 class MapLattice(Lattice):
@@ -97,10 +79,6 @@ class MapLattice(Lattice):
                 out[key] = joined
         return {k: v for k, v in out.items() if v != vbottom}
 
-    def leq(self, a: dict, b: dict) -> bool:
-        vbottom = self.value.bottom()
-        return all(self.value.leq(v, b.get(k, vbottom)) for k, v in a.items())
-
 
 class LevelLattice(Lattice):
     """Small integer levels 0..top ordered numerically (join = max)."""
@@ -114,100 +92,50 @@ class LevelLattice(Lattice):
     def join(self, a: int, b: int) -> int:
         return min(max(a, b), self.top)
 
-    def leq(self, a: int, b: int) -> bool:
-        return a <= b
-
 
 class DataflowProblem:
-    """Client interface: lattice + direction + boundary + transfer."""
-
-    direction = "forward"  # or "backward"
+    """Client interface for a forward problem: lattice + boundary +
+    transfer."""
 
     def lattice(self) -> Lattice:
         raise NotImplementedError
 
     def boundary(self, function: Function) -> State:
-        """State at the entry (forward) or at every exit (backward)."""
+        """State at the entry."""
         return self.lattice().bottom()
 
     def transfer(self, ins: Instruction, state: State) -> State:
-        """State after ``ins`` given the state before it (in flow order)."""
+        """State after ``ins`` given the state before it."""
         raise NotImplementedError
 
 
 class DataflowSolution:
-    """Fixpoint result: per-block boundary states plus instruction replay."""
+    """Fixpoint result: per-block entry states plus instruction replay."""
 
     def __init__(self, problem: DataflowProblem, cfg: BlockCFG,
-                 block_in: dict[str, State], block_out: dict[str, State]):
+                 block_in: dict[str, State]):
         self.problem = problem
         self.cfg = cfg
         self.block_in = block_in
-        self.block_out = block_out
-
-    def _flow_instructions(self, block: BasicBlock) -> list[Instruction]:
-        ins = list(block.instructions)
-        if self.problem.direction == "backward":
-            ins.reverse()
-        return ins
 
     def instruction_states(self, label: str) -> Iterator[tuple[Instruction, State]]:
-        """Yield (instruction, state-before-it-in-flow-order) pairs.
-
-        For forward problems the state is what holds *before* the
-        instruction executes; for backward problems, what holds *after*
-        it in program order (i.e. before it against the flow).
-        """
-        block = self.cfg.block_of[label]
+        """Yield (instruction, state before it) pairs for one block."""
         state = self.block_in[label]
-        for ins in self._flow_instructions(block):
+        for ins in self.cfg.block_of[label].instructions:
             yield ins, state
             state = self.problem.transfer(ins, state)
 
-    def at(self, label: str, index: int) -> State:
-        """State before instruction ``index`` of ``label`` in flow order."""
-        block = self.cfg.block_of[label]
-        target = block.instructions[index]
-        for ins, state in self.instruction_states(label):
-            if ins is target:
-                return state
-        raise IndexError(f"no instruction {index} in block {label}")
-
 
 def solve(function: Function, problem: DataflowProblem,
-          cfg: BlockCFG | None = None,
           max_iterations: int = 10_000_000) -> DataflowSolution:
-    """Run the worklist algorithm to the least fixpoint."""
-    cfg = cfg or BlockCFG(function)
+    """Run the forward worklist algorithm to the least fixpoint."""
+    cfg = BlockCFG(function)
     lattice = problem.lattice()
-    forward = problem.direction != "backward"
-
-    if forward:
-        order = cfg.reverse_postorder()
-        edges_in: Callable[[str], list[str]] = lambda l: cfg.predecessors[l]
-        edges_out: Callable[[str], list[str]] = lambda l: cfg.successors[l]
-        boundary_labels = {cfg.entry}
-    else:
-        order = cfg.postorder()
-        edges_in = lambda l: cfg.successors[l]
-        edges_out = lambda l: cfg.predecessors[l]
-        boundary_labels = set(cfg.exit_labels())
-
+    order = cfg.reverse_postorder()
     boundary = problem.boundary(function)
     state_in: dict[str, State] = {l: lattice.bottom() for l in cfg.labels}
     state_out: dict[str, State] = {l: lattice.bottom() for l in cfg.labels}
-    for label in boundary_labels:
-        state_in[label] = boundary
-
-    def apply_block(label: str) -> State:
-        state = state_in[label]
-        block = cfg.block_of[label]
-        instructions = block.instructions
-        if not forward:
-            instructions = list(reversed(instructions))
-        for ins in instructions:
-            state = problem.transfer(ins, state)
-        return state
+    state_in[cfg.entry] = boundary
 
     worklist: deque[str] = deque(order)
     queued = set(order)
@@ -221,21 +149,18 @@ def solve(function: Function, problem: DataflowProblem,
         label = worklist.popleft()
         queued.discard(label)
         incoming = state_in[label]
-        for pred in edges_in(label):
+        for pred in cfg.predecessors[label]:
             incoming = lattice.join(incoming, state_out[pred])
-        if label in boundary_labels:
+        if label == cfg.entry:
             incoming = lattice.join(incoming, boundary)
         state_in[label] = incoming
-        new_out = apply_block(label)
+        new_out = incoming
+        for ins in cfg.block_of[label].instructions:
+            new_out = problem.transfer(ins, new_out)
         if new_out != state_out[label]:
             state_out[label] = new_out
-            for succ in edges_out(label):
+            for succ in cfg.successors[label]:
                 if succ not in queued:
                     queued.add(succ)
                     worklist.append(succ)
-
-    if forward:
-        return DataflowSolution(problem, cfg, state_in, state_out)
-    # For backward problems, report states in flow orientation: block_in
-    # is the state at the block's end (flow entry), block_out at its start.
-    return DataflowSolution(problem, cfg, state_in, state_out)
+    return DataflowSolution(problem, cfg, state_in)

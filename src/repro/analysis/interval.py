@@ -1,8 +1,9 @@
 """Branch-independent value-range analysis over array indices.
 
 Proves *non-speculative in-boundedness* (§6.2 terminology: whether an
-access can ever leave its object) for the range-pruning knob in
-``ClouPHT`` and the worst-case-alias sharpening in postprocess.
+access can ever leave its object) for the range-pruning knob
+(``ClouConfig.enable_range_pruning``): PHT's load-side and FWD's
+store-side pruning, through ``DetectionEngine.ranges``.
 
 Soundness under speculation is the whole point, so the analysis is
 deliberately **branch-independent**: it never refines a range from a
@@ -16,10 +17,13 @@ or not it is architecturally reachable).  Spectre-PHT's bounds check
 ``a[x & (N-1)]`` with a power-of-two extent does — exactly the split
 between gadgets Clou must keep searching and accesses it may skip.
 
-The fixpoint iterates *descending* from type-range top, which is sound
-at every round (each transfer over-approximates given over-approximate
-inputs), so the round cap needs no widening; on a DAG A-CFG one pass in
-reverse postorder already converges.
+The analysis is one pass in reverse postorder, starting every temp at
+its type range (top).  On the acyclic A-CFG every def and every
+reaching store precede their uses in that order, so the pass is the
+fixpoint.  On a cyclic function (raw ``compile_c`` output, which only the
+``interp-interval`` fuzz oracle analyzes) a value read across a back edge
+is still at its type range, so the result is sound though coarser than a
+fixpoint: each transfer over-approximates given over-approximate inputs.
 """
 
 from __future__ import annotations
@@ -30,9 +34,8 @@ from repro.ir import (Alloca, ArrayType, BinOp, Cast, Constant, Function,
                       GetElementPtr, GlobalRef, ICmp, Instruction, IntType,
                       Load, PointerType, Store, StructType, Temp, Value)
 
-from .cfg import BlockCFG
-from .reaching import ReachingStores, definitions
 from .dataflow import solve
+from .reaching import ReachingStores
 
 
 @dataclass(frozen=True)
@@ -41,9 +44,6 @@ class Interval:
 
     lo: int | None
     hi: int | None
-
-    def is_top(self) -> bool:
-        return self.lo is None and self.hi is None
 
     def contains(self, other: "Interval") -> bool:
         lo_ok = self.lo is None or (other.lo is not None and other.lo >= self.lo)
@@ -146,48 +146,31 @@ def _binop_range(op: str, a: Interval, b: Interval, out: Interval) -> Interval:
 class IntervalAnalysis:
     """Value ranges for one function plus in-boundedness queries."""
 
-    def __init__(self, function: Function, cfg: BlockCFG | None = None,
-                 max_rounds: int = 4):
+    def __init__(self, function: Function):
         self.function = function
-        self.cfg = cfg or BlockCFG(function)
-        self.defs = definitions(function)
-        self._problem = ReachingStores(function)
-        self._reaching = solve(function, self._problem, cfg=self.cfg)
-        self._ins_at: dict[tuple[str, int], Instruction] = {}
-        for block in function.blocks:
-            for index, ins in enumerate(block.instructions):
-                self._ins_at[(block.label, index)] = ins
+        reaching = ReachingStores(function)
+        self.defs = reaching.defs
         self._ranges: dict[str, Interval] = {}
         self._bounds_memo: dict[int, bool] = {}
-        self._load_facts: dict[int, list[tuple] | None] = {}
-        self._run(max_rounds)
+        self._run(reaching)
 
-    # -- fixpoint ----------------------------------------------------------
-
-    def _run(self, max_rounds: int) -> None:
-        # One replay freezes each load's reaching-store facts — the
-        # reaching solution is fixed, so only the interval rounds repeat.
-        for block in self.function.blocks:
-            state = self._reaching.block_in.get(block.label, 0)
-            for ins in block.instructions:
-                if isinstance(ins, Load) and ins.result is not None \
-                        and isinstance(ins.result.type, IntType):
-                    self._load_facts[id(ins)] = \
-                        self._problem.stores_for(ins, state)
-                state = self._problem.transfer(ins, state)
-        order = self.cfg.reverse_postorder()
-        for _ in range(max_rounds):
-            changed = False
-            for label in order:
-                for ins in self.cfg.block_of[label].instructions:
-                    if ins.result is not None and isinstance(
-                            ins.result.type, IntType):
-                        new = self._transfer(ins)
-                        if self._ranges.get(ins.result.name) != new:
-                            self._ranges[ins.result.name] = new
-                            changed = True
-            if not changed:
-                break
+    def _run(self, reaching: ReachingStores) -> None:
+        # One pass in reverse postorder, threading the reaching-stores
+        # state through each block so a load reads its writers there.
+        solution = solve(self.function, reaching)
+        block_of = solution.cfg.block_of
+        for label in solution.cfg.reverse_postorder():
+            for ins, state in solution.instruction_states(label):
+                if ins.result is None or not isinstance(
+                        ins.result.type, IntType):
+                    continue
+                writers = None
+                if isinstance(ins, Load):
+                    facts = reaching.stores_for(ins, state)
+                    if facts is not None:
+                        writers = [block_of[fact[2]].instructions[fact[3]]
+                                   for fact in facts]
+                self._ranges[ins.result.name] = self._transfer(ins, writers)
 
     def range_of(self, value: Value) -> Interval:
         """Sound interval for any IR value (TOP for non-integers)."""
@@ -198,11 +181,19 @@ class IntervalAnalysis:
             return self._ranges.get(value.name, bound).clip(bound)
         return bound
 
-    def _transfer(self, ins: Instruction) -> Interval:
+    def _transfer(self, ins: Instruction,
+                  writers: list[Instruction] | None) -> Interval:
+        """``ins``'s result range; ``writers`` are the stores (or calls
+        writing an escaped slot) a load may observe, None when its slot
+        may be uninitialized or clobbered."""
         out = type_range(ins.result.type)
         if isinstance(ins, Load):
-            slot = self._load_range(ins)
-            return slot.clip(out) if slot is not None else out
+            joined: Interval | None = None
+            for writer in writers or ():
+                value = self.range_of(writer.value) \
+                    if isinstance(writer, Store) else TOP
+                joined = value if joined is None else joined.join(value)
+            return joined.clip(out) if joined is not None else out
         if isinstance(ins, BinOp):
             a = self.range_of(ins.lhs)
             b = self.range_of(ins.rhs)
@@ -214,20 +205,6 @@ class IntervalAnalysis:
             return inner if out.contains(inner) else out
         # Calls, arguments-by-way-of-anything-else: the type is all we know.
         return out
-
-    def _load_range(self, ins: Load) -> Interval | None:
-        """Join of the values the reaching stores may have written, or
-        None when the slot may be uninitialized or clobbered."""
-        facts = self._load_facts.get(id(ins))
-        if facts is None:
-            return None
-        joined: Interval | None = None
-        for fact in facts:
-            store = self._ins_at[(fact[2], fact[3])]
-            value = self.range_of(store.value) if isinstance(store, Store) \
-                else TOP  # call writing an escaped slot
-            joined = value if joined is None else joined.join(value)
-        return joined
 
     # -- in-boundedness ----------------------------------------------------
 
@@ -246,10 +223,6 @@ class IntervalAnalysis:
             cached = self._pointer_in_bounds(ins.pointer)
             self._bounds_memo[key] = cached
         return cached
-
-    def in_bounds_at(self, label: str, index: int) -> bool:
-        ins = self._ins_at.get((label, index))
-        return ins is not None and self.access_in_bounds(ins)
 
     def _pointer_in_bounds(self, value: Value) -> bool:
         if isinstance(value, GlobalRef):

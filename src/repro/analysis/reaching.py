@@ -33,8 +33,7 @@ from dataclasses import dataclass
 from repro.ir import (Alloca, Call, Cast, Function, GetElementPtr, GlobalRef,
                       Instruction, Load, PointerType, Store, Temp, Value)
 
-from .cfg import BlockCFG
-from .dataflow import BitsetLattice, DataflowProblem, DataflowSolution, solve
+from .dataflow import BitsetLattice, DataflowProblem
 
 
 @dataclass(frozen=True)
@@ -95,8 +94,6 @@ def resolve_slot(value: Value, defs: dict[str, Instruction]) -> SlotRef:
 
 class ReachingStores(DataflowProblem):
     """Forward may-analysis over store/uninit/clobber bitset facts."""
-
-    direction = "forward"
 
     def __init__(self, function: Function):
         self.function = function
@@ -217,30 +214,10 @@ class ReachingStores(DataflowProblem):
         gen, kill = masks
         return (state & ~kill) | gen
 
-    # -- decoding ----------------------------------------------------------
-
-    def decode(self, state: int) -> frozenset[tuple]:
-        """The fact tuples present in a bitset state (for tests/clients)."""
-        out = []
-        mask = state
-        while mask:
-            low = mask & -mask
-            out.append(self.facts[low.bit_length() - 1])
-            mask ^= low
-        return frozenset(out)
-
-    def slot_of(self, ins: Instruction) -> SlotRef:
-        ref = self._slot_of.get(id(ins))
-        if ref is None:
-            pointer = getattr(ins, "pointer", None)
-            ref = resolve_slot(pointer, self.defs) if pointer is not None \
-                else UNKNOWN
-        return ref
-
     def stores_for(self, ins: Load, state: int) -> list[tuple] | None:
         """Store facts the load may observe, or None when the slot may be
         uninitialized / clobbered / not a tracked alloca slot."""
-        ref = self.slot_of(ins)
+        ref = self._slot_of[id(ins)]
         if not ref.is_alloca:
             return None
         if state & self.clobber_mask:
@@ -254,18 +231,3 @@ class ReachingStores(DataflowProblem):
             out.append(self.facts[low.bit_length() - 1])
             relevant ^= low
         return out
-
-
-def reaching_stores(function: Function,
-                    cfg: BlockCFG | None = None) -> DataflowSolution:
-    """Solve reaching stores for ``function``."""
-    return solve(function, ReachingStores(function), cfg=cfg)
-
-
-def stores_reaching_load(solution: DataflowSolution, load: Load,
-                         label: str, index: int) -> list[tuple] | None:
-    """The store facts a load may observe, or None when the slot may be
-    uninitialized / clobbered / not a tracked alloca slot."""
-    problem = solution.problem
-    assert isinstance(problem, ReachingStores)
-    return problem.stores_for(load, solution.at(label, index))

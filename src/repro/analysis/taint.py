@@ -74,8 +74,6 @@ class _FunctionTaint(DataflowProblem):
     stores through GEPs are weak.
     """
 
-    direction = "forward"
-
     def __init__(self, analysis: "SecretTaintAnalysis", function: Function,
                  alias: AliasAnalysis):
         self.analysis = analysis

@@ -19,7 +19,6 @@ from repro.clou.postprocess import (
     PostProcessResult,
     group_witnesses,
     postprocess,
-    ranges_for,
 )
 from repro.clou.repair import RepairResult, insert_fences, minimum_hitting_set, repair
 from repro.clou.report import ClouWitness, FunctionReport, ModuleReport, NodeRef
@@ -53,7 +52,6 @@ __all__ = [
     "minimum_hitting_set",
     "group_witnesses",
     "postprocess",
-    "ranges_for",
     "register_engine",
     "repair",
     "unroll_loops",

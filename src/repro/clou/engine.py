@@ -68,13 +68,16 @@ class ClouConfig:
     (the speculative-interference phenomenon)."""
     enable_range_pruning: bool = True
     """Use the branch-independent interval analysis
-    (:mod:`repro.analysis.interval`) to skip *universal* classification
-    hops whose access is provably in-bounds even transiently — such an
-    access can only read its own object, so the chain degrades to the
-    DT/CT case the engine reports anyway.  PHT only: under STL the
-    bypassed store invalidates the slot-range reasoning.  Sound because
-    the intervals never trust branch conditions, so a mispredicted
-    bounds check proves nothing (the Spectre v1 gadget stays flagged)."""
+    (:mod:`repro.analysis.interval`) where an access is provably
+    in-bounds even transiently.  PHT skips *universal* classification
+    hops whose access is such a load — it can only read its own object,
+    so the chain degrades to the DT/CT case the engine reports anyway.
+    FWD drops the out-of-bounds mode of a transient store whose address
+    is tainted but provably in bounds, so that store corrupts no other
+    slot.  STL and PSF ignore the flag: the bypassed store invalidates
+    the slot-range reasoning.  Sound because the intervals never trust
+    branch conditions, so a mispredicted bounds check proves nothing
+    (the Spectre v1 gadget stays flagged)."""
     solver_conflict_budget: int | None = None
     """Ignored.  σ-compatibility is an exact bitset check
     (:meth:`SAEG.realizable`) with no solver to budget; the field stays

@@ -105,31 +105,15 @@ def group_witnesses(witnesses: list[ClouWitness]) -> list[GadgetClass]:
     return classes
 
 
-def ranges_for(module, function_name: str):
-    """Interval analysis over a function's A-CFG, for :func:`postprocess`'s
-    ``ranges`` argument (the same view the engine analyzed)."""
-    from repro.analysis.interval import IntervalAnalysis
-    from repro.clou.acfg import build_acfg
-
-    return IntervalAnalysis(build_acfg(module, function_name).function)
-
-
 def postprocess(report: FunctionReport,
                 secret_symbols: tuple[str, ...] = (),
-                max_stale_reads: int = 1,
-                ranges=None) -> PostProcessResult:
+                max_stale_reads: int = 1) -> PostProcessResult:
     """Apply the §6.2.2 filters to one function report.
 
     The input report is not modified; callers use the result's
     partitions (the paper applied these filters manually for its
     qualitative analysis and notes an automatic mechanism is possible —
     this is that mechanism).
-
-    ``ranges`` (an :class:`repro.analysis.interval.IntervalAnalysis`
-    over the same A-CFG, see :func:`ranges_for`) sharpens the worst-case
-    alias downgrades: a universal witness whose access is provably
-    in-bounds even transiently can only read its own object, so it is
-    downgraded to DT/CT like the pointer-reload case.
     """
     result = PostProcessResult()
     for witness in report.transmitters():
@@ -137,16 +121,6 @@ def postprocess(report: FunctionReport,
             result.filtered_benign.append(witness)
             continue
         if witness.klass in _UNIVERSAL:
-            if (ranges is not None and witness.access is not None
-                    and ranges.in_bounds_at(witness.access.block,
-                                            witness.access.index)):
-                result.downgraded.append(replace(
-                    witness,
-                    klass=TransmitterClass.DATA
-                    if witness.klass is TransmitterClass.UNIVERSAL_DATA
-                    else TransmitterClass.CONTROL,
-                ))
-                continue
             # Case 1: universal chains that route the secret through a
             # speculative write and re-load it as a pointer — the
             # addr.data.rf.addr special case — are conservatively

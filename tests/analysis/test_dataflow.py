@@ -1,13 +1,9 @@
-"""Tests for the dataflow framework: CFG orderings, dominators,
-liveness, and reaching stores (the -O0 slot model)."""
+"""Tests for the dataflow framework: CFG orderings and reaching stores
+(the -O0 slot model)."""
 
-import pytest
-
-from repro.analysis import (BlockCFG, ReachingStores, liveness,
-                            live_into_block, reaching_stores, resolve_slot,
-                            solve, stores_reaching_load)
+from repro.analysis import BlockCFG, ReachingStores, resolve_slot, solve
 from repro.analysis.reaching import definitions
-from repro.ir import Load, Ret, Store
+from repro.ir import Load, Store
 from repro.minic import compile_c
 
 
@@ -22,6 +18,16 @@ def _loads(function):
             if isinstance(ins, Load)]
 
 
+def _stores_reaching(function, label, load):
+    """``ReachingStores.stores_for`` at ``load``, from the solved state
+    replayed through its block."""
+    problem = ReachingStores(function)
+    solution = solve(function, problem)
+    state = next(state for ins, state in solution.instruction_states(label)
+                 if ins is load)
+    return problem.stores_for(load, state)
+
+
 DIAMOND = """
 uint64_t f(uint64_t x) {
     uint64_t r = 1;
@@ -33,69 +39,12 @@ uint64_t f(uint64_t x) {
 
 class TestBlockCFG:
     def test_orderings_cover_reachable_blocks(self):
-        cfg = BlockCFG(_function(DIAMOND))
+        function = _function(DIAMOND)
+        cfg = BlockCFG(function)
         rpo = cfg.reverse_postorder()
         assert rpo[0] == cfg.entry
-        assert set(rpo) == cfg.reachable
+        assert set(rpo) == {block.label for block in function.blocks}
         assert list(reversed(rpo)) == cfg.postorder()
-
-    def test_entry_dominates_everything(self):
-        cfg = BlockCFG(_function(DIAMOND))
-        for label in cfg.reachable:
-            assert cfg.dominates(cfg.entry, label)
-
-    def test_branch_arms_do_not_dominate_join(self):
-        cfg = BlockCFG(_function(DIAMOND))
-        join = next(label for label in cfg.reachable
-                    if len(cfg.predecessors[label]) == 2)
-        arms = cfg.predecessors[join]
-        for arm in arms:
-            assert not cfg.dominates(arm, join)
-            assert cfg.dominates(cfg.entry, arm)
-
-    def test_immediate_dominator_of_join_is_entry(self):
-        cfg = BlockCFG(_function(DIAMOND))
-        join = next(label for label in cfg.reachable
-                    if len(cfg.predecessors[label]) == 2)
-        idom = cfg.immediate_dominators()
-        assert idom[cfg.entry] is None
-        assert idom[join] == cfg.entry
-
-    def test_instruction_dominance_within_block(self):
-        cfg = BlockCFG(_function(DIAMOND))
-        assert cfg.instruction_dominates((cfg.entry, 0), (cfg.entry, 1))
-        assert not cfg.instruction_dominates((cfg.entry, 1), (cfg.entry, 0))
-
-
-class TestLiveness:
-    def test_returned_temp_live_before_ret(self):
-        function = _function(DIAMOND)
-        solution = liveness(function)
-        for block in function.blocks:
-            terminator = block.instructions[-1]
-            if not (isinstance(terminator, Ret)
-                    and terminator.value is not None):
-                continue
-            # For backward problems `at` reports what holds *after* the
-            # instruction in program order: the returned temp is live
-            # after the preceding instruction.
-            live = solution.at(block.label, len(block.instructions) - 2)
-            assert terminator.value.name in live
-
-    def test_retval_slot_live_into_exit_block(self):
-        function = _function(DIAMOND)
-        solution = liveness(function)
-        (exit_label,) = solution.cfg.exit_labels()
-        live = live_into_block(solution, exit_label)
-        assert any("retval" in name for name in live)
-
-    def test_dead_after_last_use(self):
-        function = _function("uint64_t f(uint64_t x) { return x + 1; }")
-        solution = liveness(function)
-        # Nothing is live at the function's exit boundary.
-        cfg = solution.cfg
-        for label in cfg.exit_labels():
-            assert solution.block_in[label] == frozenset()
 
 
 class TestReachingStores:
@@ -107,18 +56,16 @@ uint64_t f(void) {
     return a;
 }
 """)
-        solution = reaching_stores(function)
         label, index, load = _loads(function)[-1]
-        facts = stores_reaching_load(solution, load, label, index)
+        facts = _stores_reaching(function, label, load)
         assert facts is not None
         assert len(facts) == 1          # only `a = 2` reaches
 
     def test_branch_merges_stores(self):
         function = _function(DIAMOND)
-        solution = reaching_stores(function)
         label, index, load = next(
             x for x in _loads(function) if "r.addr" in x[2].pointer.name)
-        facts = stores_reaching_load(solution, load, label, index)
+        facts = _stores_reaching(function, label, load)
         assert facts is not None
         # r = 2 and r = 3 both reach; the dominated r = 1 is killed on
         # both paths.
@@ -132,10 +79,9 @@ uint64_t f(uint64_t x) {
     return a;
 }
 """)
-        solution = reaching_stores(function)
         label, index, load = next(
             x for x in _loads(function) if "a.addr" in x[2].pointer.name)
-        assert stores_reaching_load(solution, load, label, index) is None
+        assert _stores_reaching(function, label, load) is None
 
     def test_unknown_pointer_store_clobbers(self):
         function = _function("""
@@ -146,26 +92,10 @@ uint64_t f(void) {
     return a;
 }
 """)
-        solution = reaching_stores(function)
         label, index, load = [x for x in _loads(function)
                               if x[2].result.type.__class__.__name__
                               != "PointerType"][-1]
-        assert stores_reaching_load(solution, load, label, index) is None
-
-    def test_bitset_decode_round_trip(self):
-        function = _function(DIAMOND)
-        problem = ReachingStores(function)
-        solution = solve(function, problem)
-        (exit_label,) = solution.cfg.exit_labels()
-        decoded = problem.decode(solution.block_in[exit_label])
-        assert decoded
-        assert all(fact[0] in ("store", "uninit", "clobber")
-                   for fact in decoded)
-        # Decode inverts the bit encoding exactly.
-        state = 0
-        for fact in decoded:
-            state |= problem._fact_bit[fact]
-        assert state == solution.block_in[exit_label]
+        assert _stores_reaching(function, label, load) is None
 
     def test_resolve_slot_sees_through_gep(self):
         function = _function("""
@@ -192,7 +122,6 @@ uint64_t f(void) {
     return a;
 }
 """)
-        solution = reaching_stores(function)
         label, index, load = _loads(function)[-1]
-        facts = stores_reaching_load(solution, load, label, index)
+        facts = _stores_reaching(function, label, load)
         assert facts is not None and len(facts) == 1

@@ -55,14 +55,15 @@ class TestInterval:
 
     def test_top_is_absorbing(self):
         top = Interval(None, None)
-        assert top.is_top
-        assert Interval(1, 2).join(top).is_top
+        assert Interval(1, 2).join(top) == top
+        assert top.join(Interval(1, 2)) == top
 
     def test_type_ranges(self):
         assert type_range(IntType(8, signed=False)) == Interval(0, 255)
         assert type_range(IntType(8, signed=True)) == Interval(-128, 127)
         assert type_range(IntType(1, signed=True)) == Interval(0, 1)
-        assert type_range(PointerType(IntType(8, signed=False))).is_top
+        assert type_range(PointerType(IntType(8, signed=False))) == \
+            Interval(None, None)
 
 
 class TestInBounds:
@@ -71,8 +72,7 @@ class TestInBounds:
         analysis = IntervalAnalysis(function)
         accesses = _accesses_of(function, global_name)
         assert accesses, f"no accesses to {global_name} found"
-        return [analysis.in_bounds_at(label, index)
-                for label, index, _ in accesses]
+        return [analysis.access_in_bounds(ins) for _, _, ins in accesses]
 
     def test_masked_index_proves(self):
         verdicts = self._verdicts("""
@@ -137,8 +137,7 @@ uint64_t f(uint64_t x) {
                 and isinstance(ins.pointer, Temp)
                 and "gep" in ins.pointer.name]
         assert geps
-        assert all(analysis.in_bounds_at(label, index)
-                   for label, index, _ in geps)
+        assert all(analysis.access_in_bounds(ins) for _, _, ins in geps)
 
     def test_uninitialized_index_does_not_prove(self):
         verdicts = self._verdicts("""

@@ -13,9 +13,7 @@ from repro.bench.suites import by_name
 from repro.bench.synthetic import bounded_corpus
 from repro.clou import ClouConfig
 from repro.sched import AnalysisRequest, ClouSession
-from repro.clou.postprocess import postprocess, ranges_for
 from repro.lcm.taxonomy import TransmitterClass as TC
-from repro.minic import compile_c
 
 _SESSION = ClouSession(jobs=1, cache=False)
 
@@ -84,19 +82,3 @@ def test_stl_engine_does_not_prune():
     report = _SESSION.analyze(AnalysisRequest.analyze(MASKED_VICTIM, engine="stl", config=ON))
     assert report.pruned == 0
 
-
-def test_postprocess_ranges_sharpen_downgrades():
-    """With engine pruning off, the same bounded-access argument can be
-    applied after the fact via ``postprocess(..., ranges=...)``."""
-    module = compile_c(MASKED_VICTIM)
-    report = _SESSION.analyze(AnalysisRequest.analyze(MASKED_VICTIM, engine="pht", config=OFF))
-    function_report = report.functions[0]
-    universal = [w for w in function_report.transmitters()
-                 if w.klass is TC.UNIVERSAL_DATA]
-    assert universal
-    plain = postprocess(function_report)
-    sharpened = postprocess(function_report,
-                            ranges=ranges_for(module, "victim"))
-    assert len(sharpened.downgraded) > len(plain.downgraded)
-    assert all(w.klass in (TC.DATA, TC.CONTROL)
-               for w in sharpened.downgraded)
