@@ -14,7 +14,9 @@ install:
 
 # Fast suite for day-to-day work; `make test-all` runs everything.
 # The differential fuzz smoke run rides along so every `make test`
-# also cross-checks the semantic layer pairs on fresh random inputs.
+# also cross-checks the semantic layer pairs on fresh random inputs;
+# the end-to-end benchmark smoke fails on a changed API it imports or
+# a changed seed-0 digest.
 test:
 	pytest tests/ -q -m "not slow"
 	$(MAKE) fuzz-smoke
@@ -24,6 +26,7 @@ test:
 	$(MAKE) chaos-smoke
 	$(MAKE) engines-smoke
 	$(MAKE) serve-smoke
+	$(MAKE) bench-e2e-smoke
 
 test-all:
 	pytest tests/ -q

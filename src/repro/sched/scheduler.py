@@ -10,15 +10,22 @@ long-lived process per job slot, fed over pipes), with:
   (``concurrent.futures.ProcessPoolExecutor`` cannot do this: a running
   future is uncancellable, so the pool keeps its own slots);
 - **bounded retries** — crashed items and items raising
-  :class:`TransientError` are re-queued up to ``retries`` extra
-  attempts; deterministic failures (ordinary exceptions) and timeouts
-  are not retried;
+  :class:`TransientError` or ``MemoryError`` are re-queued up to
+  ``retries`` extra attempts; deterministic failures (ordinary
+  exceptions) are not retried, and timeouts only from a checkpoint;
 - **a deterministic serial fallback** — ``jobs <= 1``, an unavailable
   ``multiprocessing``, or pickling-hostile payloads all run the same
-  items in-process, in order, with identical outcome structure.
+  items in-process, in order.
 
-Results are returned in submission order regardless of completion
-order, so downstream output is byte-stable across ``--jobs`` settings.
+Both paths share one attempt and one per-item record: :func:`_attempt`
+calls the worker and maps its exceptions to a status (in-process on the
+serial path, in the child in the pool), and :meth:`ItemOutcome.settle`
+records how each attempt ended and decides whether the item runs
+again.  The pool adds only what a process brings: crash detection,
+wall-clock and stall kills, and interrupt handling.  So an outcome does
+not depend on ``jobs``.  Results are returned in submission order
+regardless of completion order, so downstream output is byte-stable
+across ``--jobs`` settings.
 
 Worker processes persist across items, so worker-side memoization (the
 compiled-module and S-AEG caches in :mod:`repro.sched.worker`) pays off
@@ -33,7 +40,9 @@ attribute):
   the parent, as the serial path does in-process; a wall-clock kill,
   crash, or memory kill re-queues the item *with its last checkpoint*,
   so the retry resumes instead of restarting, and the merged result is
-  identical to an uninterrupted run;
+  identical to an uninterrupted run.  An item that fails for good keeps
+  its last checkpoint in ``ItemOutcome.partial``, whatever the failure
+  and on both paths; a success drops it;
 - **heartbeats** — checkpoint messages double as liveness beats:
   ``stall_timeout`` kills items whose worker went silent (hung) long
   before the full ``timeout``, distinguishing hung from merely slow;
@@ -76,7 +85,7 @@ class SchedulerInterrupt(Exception):
 
 @dataclass
 class ItemOutcome:
-    """What happened to one work item."""
+    """What happened to one work item, across all its attempts."""
 
     index: int
     value: Any = None
@@ -87,12 +96,54 @@ class ItemOutcome:
     elapsed: float = 0.0       # wall seconds across all attempts
     resumed: int = 0           # attempts that resumed from a checkpoint
     memory_killed: bool = False  # some attempt died of MemoryError
-    hung: bool = False         # killed by the heartbeat stall detector
-    partial: Any = None        # last checkpoint when the item failed
+    partial: Any = None        # last checkpoint; kept when the item fails
 
     @property
     def ok(self) -> bool:
         return self.error is None
+
+    def start(self) -> Any:
+        """Count an attempt; return the checkpoint it resumes from."""
+        self.attempts += 1
+        if self.partial is not None:
+            self.resumed += 1
+        return self.partial
+
+    def settle(self, status: str, value: Any, retries: int) -> bool:
+        """Record how the last attempt ended; return whether the item
+        runs again.  ``status`` is an :func:`_attempt` status, or
+        ``"crash"`` (the worker process died) or ``"timeout"`` (the pool
+        killed it at a deadline).  Memory, transient and crash failures
+        retry while attempts remain; a timeout only with a checkpoint
+        (from scratch it would hit the same deadline again); an ordinary
+        error never.  A success drops the checkpoint."""
+        if status == "ok":
+            self.value, self.error, self.partial = value, None, None
+        else:
+            self.error = value
+        self.crashed = status == "crash"
+        self.timed_out = status == "timeout"
+        self.memory_killed |= status == "memory"
+        retry = status in ("memory", "transient", "crash") or (
+            status == "timeout" and self.partial is not None)
+        return retry and self.attempts <= retries
+
+
+def _attempt(worker, payload, resume, emit) -> tuple[str, Any]:
+    """Call ``worker`` on ``payload`` once: ``("ok", result)``, or
+    ``("memory" | "transient" | "error", message)`` for the exception
+    it raised.  A checkpoint-capable worker resumes from ``resume`` and
+    reports progress to ``emit``; any other gets the payload alone."""
+    try:
+        if getattr(worker, "supports_checkpoints", False):
+            return "ok", worker(payload, resume=resume, checkpoint=emit)
+        return "ok", worker(payload)
+    except MemoryError as error:
+        return "memory", f"MemoryError: {error}"
+    except TransientError as error:
+        return "transient", f"{type(error).__name__}: {error}"
+    except Exception as error:
+        return "error", f"{type(error).__name__}: {error}"
 
 
 def run_items(worker: Callable[[Any], Any], payloads: list,
@@ -110,10 +161,9 @@ def run_items(worker: Callable[[Any], Any], payloads: list,
     if not payloads:
         return []
     if jobs > 1:
-        pool_or_reason = _try_parallel(worker, payloads, jobs,
-                                       memory_limit_mb)
-        if isinstance(pool_or_reason, _Pool):
-            with pool_or_reason as pool:
+        pool = _try_parallel(worker, payloads, jobs, memory_limit_mb)
+        if pool is not None:
+            with pool:
                 return pool.run(payloads, timeout=timeout, retries=retries,
                                 stall_timeout=stall_timeout)
     return _run_serial(worker, payloads, retries=retries)
@@ -121,47 +171,18 @@ def run_items(worker: Callable[[Any], Any], payloads: list,
 
 def _run_serial(worker, payloads, *, retries: int) -> list[ItemOutcome]:
     outcomes = []
-    checkpoints = getattr(worker, "supports_checkpoints", False)
-    latest = None  # the fold of the current item's checkpoint messages
-
-    def fold(message):
-        nonlocal latest
-        latest = _fold(latest, message)
     for index, payload in enumerate(payloads):
         outcome = ItemOutcome(index=index)
+
+        def emit(message, outcome=outcome):
+            outcome.partial = _fold(outcome.partial, message)
         started = time.monotonic()
-        latest = None
-        while True:
-            outcome.attempts += 1
-            try:
-                if checkpoints:
-                    resume = latest
-                    if resume is not None:
-                        outcome.resumed += 1
-                    outcome.value = worker(payload, resume=resume,
-                                           checkpoint=fold)
-                else:
-                    outcome.value = worker(payload)
-                outcome.error = None
-                break
-            except KeyboardInterrupt:
-                raise SchedulerInterrupt("interrupted") from None
-            except MemoryError as error:
-                # Recoverable: the checkpoint (if any) lets the retry
-                # resume past the allocation spike's prefix.
-                outcome.error = f"MemoryError: {error}"
-                outcome.memory_killed = True
-                if outcome.attempts > retries:
-                    break
-            except TransientError as error:
-                outcome.error = f"{type(error).__name__}: {error}"
-                if outcome.attempts > retries:
-                    break
-            except Exception as error:
-                outcome.error = f"{type(error).__name__}: {error}"
-                break
-        if outcome.error is not None:
-            outcome.partial = latest
+        try:
+            while outcome.settle(*_attempt(worker, payload, outcome.start(),
+                                           emit), retries):
+                pass
+        except KeyboardInterrupt:
+            raise SchedulerInterrupt("interrupted") from None
         outcome.elapsed = time.monotonic() - started
         outcomes.append(outcome)
     return outcomes
@@ -173,24 +194,26 @@ def _run_serial(worker, payloads, *, retries: int) -> list[ItemOutcome]:
 
 
 def _try_parallel(worker, payloads, jobs,
-                  memory_limit_mb=None) -> "_Pool | str":
-    """A ready pool, or a reason string for falling back to serial."""
+                  memory_limit_mb=None) -> "_Pool | None":
+    """A ready pool, or ``None`` when the batch must run serially:
+    ``multiprocessing`` is unavailable or the workload will not
+    pickle."""
     try:
         import multiprocessing as mp
 
         methods = mp.get_all_start_methods()
         method = "fork" if "fork" in methods else methods[0]
         ctx = mp.get_context(method)
-    except (ImportError, ValueError, OSError) as error:
-        return f"multiprocessing unavailable: {error}"
+    except (ImportError, ValueError, OSError):
+        return None
     try:
         # Payloads cross a pipe in both modes; the worker itself only
         # needs to pickle under spawn/forkserver.
         pickle.dumps(payloads)
         if method != "fork":
             pickle.dumps(worker)
-    except Exception as error:
-        return f"pickling-hostile workload: {type(error).__name__}"
+    except Exception:
+        return None
     return _Pool(ctx, worker, jobs=min(jobs, len(payloads)),
                  memory_limit_mb=memory_limit_mb)
 
@@ -245,7 +268,6 @@ def _worker_loop(worker, conn, memory_limit_mb=None):
     parent folds them with :func:`_fold`).  Exits on the ``None``
     sentinel or a closed pipe."""
     _apply_memory_limit(memory_limit_mb)
-    checkpoints = getattr(worker, "supports_checkpoints", False)
     while True:
         try:
             message = conn.recv()
@@ -254,23 +276,13 @@ def _worker_loop(worker, conn, memory_limit_mb=None):
         if message is None:
             return
         index, payload, resume = message
-        try:
-            if checkpoints:
-                def emit(message, _index=index):
-                    try:
-                        conn.send((_index, "checkpoint", message))
-                    except (OSError, ValueError):
-                        pass  # parent gone; the terminal send will fail too
-                value = worker(payload, resume=resume, checkpoint=emit)
-            else:
-                value = worker(payload)
-            status = "ok"
-        except MemoryError as error:
-            value, status = f"MemoryError: {error}", "memory"
-        except TransientError as error:
-            value, status = f"{type(error).__name__}: {error}", "transient"
-        except Exception as error:
-            value, status = f"{type(error).__name__}: {error}", "error"
+
+        def emit(message, _index=index):
+            try:
+                conn.send((_index, "checkpoint", message))
+            except (OSError, ValueError):
+                pass  # parent gone; the terminal send will fail too
+        status, value = _attempt(worker, payload, resume, emit)
         try:
             conn.send((index, status, value))
         except Exception as error:
@@ -285,20 +297,7 @@ class _Slot:
     conn: Any
     item: int | None = None      # index of the in-flight item
     started: float = 0.0
-
-
-@dataclass
-class _Pending:
-    index: int
-    attempts: int = 0
-    elapsed: float = 0.0
-    last_error: str | None = None
-    crashed: bool = False
-    checkpoint: Any = None     # fold of the messages streamed up the pipe
-    last_beat: float = 0.0     # when that message (or the send) happened
-    resumed: int = 0
-    memory_killed: bool = False
-    hung: bool = False
+    last_beat: float = 0.0       # the last checkpoint message (or the send)
 
 
 class _Pool:
@@ -359,9 +358,9 @@ class _Pool:
             stall_timeout: float | None = None) -> list[ItemOutcome]:
         from multiprocessing.connection import wait as conn_wait
 
-        states = {i: _Pending(index=i) for i in range(len(payloads))}
+        outcomes = [ItemOutcome(index=i) for i in range(len(payloads))]
         queue = deque(range(len(payloads)))
-        outcomes: dict[int, ItemOutcome] = {}
+        unsettled = set(queue)
         heartbeats = getattr(self._worker, "supports_checkpoints", False)
 
         # A SIGTERM (e.g. from a batch supervisor) should shut down as
@@ -373,42 +372,25 @@ class _Pool:
         except ValueError:
             previous_term = None
 
-        def finish(index: int, **kwargs) -> None:
-            state = states[index]
-            outcomes[index] = ItemOutcome(
-                index=index, attempts=state.attempts,
-                elapsed=state.elapsed, resumed=state.resumed,
-                memory_killed=state.memory_killed, hung=state.hung,
-                **kwargs)
-
-        def requeue_or_fail(index: int, error: str, crashed: bool) -> None:
-            state = states[index]
-            state.last_error, state.crashed = error, crashed
-            if state.attempts <= retries:
+        def settle(index: int, status: str, value: Any) -> None:
+            if outcomes[index].settle(status, value, retries):
                 queue.append(index)
             else:
-                finish(index, error=error, crashed=crashed,
-                       partial=state.checkpoint)
+                unsettled.discard(index)
 
-        def reap(slot: _Slot, index: int, error: str, *,
-                 now: float) -> None:
-            """Kill a slot whose item ran past a deadline.  With a
-            checkpoint in hand the retry resumes from it; without one
-            the item fails as before (re-running from scratch would
-            just hit the same deadline again)."""
-            state = states[index]
-            state.elapsed += now - slot.started
-            if state.checkpoint is not None and state.attempts <= retries:
-                state.last_error = error
-                queue.append(index)
-            else:
-                finish(index, error=error, timed_out=True,
-                       partial=state.checkpoint)
-            slot.item = None
-            self._retire(slot)  # the only way to stop a hung item
+        def end(slot: _Slot, status: str, value: Any, now: float) -> None:
+            """Settle the slot's in-flight item.  After a crash, a kill
+            (the only way to stop a hung item) or a MemoryError (the
+            heap is suspect at its RLIMIT_AS ceiling) the process goes;
+            a fresh one takes the slot's next item."""
+            index, slot.item = slot.item, None
+            outcomes[index].elapsed += now - slot.started
+            settle(index, status, value)
+            if status in ("crash", "timeout", "memory"):
+                self._retire(slot)
 
         try:
-            while len(outcomes) < len(payloads):
+            while unsettled:
                 # Feed idle slots, spawning up to the job budget.
                 while queue:
                     slot = next((s for s in self._slots if s.item is None),
@@ -418,115 +400,72 @@ class _Pool:
                     if slot is None:
                         break
                     index = queue.popleft()
-                    state = states[index]
-                    state.attempts += 1
-                    state.crashed = False
-                    if state.checkpoint is not None:
-                        state.resumed += 1
                     try:
                         slot.conn.send((index, payloads[index],
-                                        state.checkpoint))
+                                        outcomes[index].partial))
                     except pickle.PicklingError as error:
-                        state.attempts -= 1
-                        finish(index, error=f"unpicklable payload: {error}")
+                        settle(index, "error",
+                               f"unpicklable payload: {error}")
                         continue
                     except (OSError, ValueError):
                         # The worker died while idle; replace it and retry
                         # the send without charging the item an attempt.
-                        state.attempts -= 1
-                        if state.checkpoint is not None:
-                            state.resumed -= 1
                         queue.appendleft(index)
                         self._retire(slot)
                         continue
+                    outcomes[index].start()
                     slot.item = index
-                    slot.started = time.monotonic()
-                    state.last_beat = slot.started
+                    slot.started = slot.last_beat = time.monotonic()
 
                 busy = [slot for slot in self._slots if slot.item is not None]
                 if not busy:
-                    if queue:
-                        continue
                     break  # defensive: nothing running, nothing queued
                 ready = conn_wait([slot.conn for slot in busy],
                                   timeout=_TICK_SECONDS)
                 now = time.monotonic()
                 for slot in busy:
-                    index = slot.item
-                    if index is None:
-                        continue
-                    state = states[index]
+                    outcome = outcomes[slot.item]
                     if slot.conn in ready:
                         try:
-                            terminal = None
                             # Drain the pipe: checkpoint heartbeats
                             # stream ahead of the terminal result.
-                            while terminal is None:
+                            _, status, value = slot.conn.recv()
+                            while status == "checkpoint":
+                                outcome.partial = _fold(outcome.partial,
+                                                        value)
+                                slot.last_beat = time.monotonic()
+                                if not slot.conn.poll():
+                                    break
                                 _, status, value = slot.conn.recv()
-                                if status == "checkpoint":
-                                    state.checkpoint = _fold(
-                                        state.checkpoint, value)
-                                    state.last_beat = time.monotonic()
-                                    if not slot.conn.poll():
-                                        break
-                                else:
-                                    terminal = (status, value)
                         except (EOFError, OSError):
                             # Died mid-send (or between recv and send).
-                            state.elapsed += now - slot.started
-                            requeue_or_fail(index, "worker process died",
-                                            crashed=True)
-                            slot.item = None
-                            self._retire(slot)
-                            continue
-                        if terminal is None:
-                            continue  # only heartbeats so far
-                        status, value = terminal
-                        state.elapsed += now - slot.started
-                        slot.item = None
-                        if status == "ok":
-                            finish(index, value=value)
-                        elif status == "transient":
-                            requeue_or_fail(index, value, crashed=False)
-                        elif status == "memory":
-                            # The worker's heap is suspect after a
-                            # MemoryError (RLIMIT_AS ceiling): replace
-                            # the process; the retry resumes from the
-                            # last checkpoint.
-                            state.memory_killed = True
-                            requeue_or_fail(index, value, crashed=False)
-                            self._retire(slot)
-                        else:
-                            finish(index, error=value)
+                            status, value = "crash", "worker process died"
+                        if status != "checkpoint":
+                            end(slot, status, value, now)
                     elif not slot.proc.is_alive() and not slot.conn.poll():
-                        state.elapsed += now - slot.started
-                        requeue_or_fail(index, "worker process died",
-                                        crashed=True)
-                        slot.item = None
-                        self._retire(slot)
+                        end(slot, "crash", "worker process died", now)
                     elif timeout is not None and now - slot.started > timeout:
-                        reap(slot, index,
-                             f"wall-clock timeout after {timeout:g}s",
-                             now=now)
+                        end(slot, "timeout",
+                            f"wall-clock timeout after {timeout:g}s", now)
                     elif heartbeats and stall_timeout is not None and \
-                            state.last_beat and \
-                            now - state.last_beat > stall_timeout:
+                            now - slot.last_beat > stall_timeout:
                         # No heartbeat for a full stall window: hung, not
                         # slow (a live checkpoint-capable worker beats on
                         # every processed candidate).
-                        state.hung = True
-                        reap(slot, index,
-                             f"no heartbeat for {stall_timeout:g}s (hung)",
-                             now=now)
+                        end(slot, "timeout",
+                            f"no heartbeat for {stall_timeout:g}s (hung)",
+                            now)
         except KeyboardInterrupt:
             self._abort()
             raise SchedulerInterrupt(
-                f"interrupted with {len(outcomes)}/{len(payloads)} items "
-                "done") from None
+                f"interrupted with {len(payloads) - len(unsettled)}/"
+                f"{len(payloads)} items done") from None
         finally:
             if previous_term is not None:
                 try:
                     signal.signal(signal.SIGTERM, previous_term)
                 except ValueError:
                     pass
-        return [outcomes[i] for i in range(len(payloads))]
+        for index in unsettled:  # never an ok outcome for an unrun item
+            outcomes[index].error = "not settled by the worker pool"
+        return outcomes

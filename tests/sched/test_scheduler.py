@@ -56,35 +56,59 @@ def _transient_once(path_and_value):
     return value
 
 
-class TestSerial:
-    def test_results_in_submission_order(self):
-        outcomes = run_items(_double, [3, 1, 2], jobs=1)
+def _checkpoint_then_fail(payload, *, resume, checkpoint):
+    checkpoint({"base": 0, "cursor": 1, "witnesses": []})
+    raise ValueError("broken after a checkpoint")
+
+
+_checkpoint_then_fail.supports_checkpoints = True
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+class TestBothPaths:
+    """The serial path and the worker pool give the same outcomes."""
+
+    def test_results_in_submission_order(self, jobs):
+        outcomes = run_items(_double, [3, 1, 2], jobs=jobs)
         assert [o.value for o in outcomes] == [6, 2, 4]
         assert [o.index for o in outcomes] == [0, 1, 2]
         assert all(o.ok and o.attempts == 1 for o in outcomes)
 
-    def test_error_is_captured_not_raised(self):
-        outcomes = run_items(_faulty, [1, 2, 3], jobs=1)
+    def test_error_is_captured_not_raised(self, jobs):
+        outcomes = run_items(_faulty, [1, 2, 3], jobs=jobs)
         assert outcomes[0].ok and outcomes[2].ok
         assert not outcomes[1].ok
         assert "item two is broken" in outcomes[1].error
         assert outcomes[1].attempts == 1  # deterministic: no retry
 
-    def test_transient_error_retried(self, tmp_path):
+    def test_transient_error_retried(self, tmp_path, jobs):
         outcomes = run_items(_transient_once, [(str(tmp_path), 7)],
-                             jobs=1, retries=1)
+                             jobs=jobs, retries=1)
         assert outcomes[0].ok
         assert outcomes[0].value == 7
         assert outcomes[0].attempts == 2
 
-    def test_transient_error_retry_budget_exhausted(self):
+    def test_transient_error_retry_budget_exhausted(self, jobs):
         def always_transient(x):
             raise TransientError("never works")
 
-        outcomes = run_items(always_transient, [1], jobs=1, retries=2)
+        outcomes = run_items(always_transient, [1], jobs=jobs, retries=2)
         assert not outcomes[0].ok
         assert outcomes[0].attempts == 3  # 1 + 2 retries
 
+    def test_error_after_checkpoint_keeps_it(self, jobs):
+        # An ordinary error is not retried, but the checkpoint the item
+        # streamed first survives in ``partial`` for the session to
+        # salvage, whichever path ran it.
+        [outcome] = run_items(_checkpoint_then_fail, [1], jobs=jobs,
+                              retries=1)
+        assert (outcome.error, outcome.attempts, outcome.resumed,
+                outcome.partial) == (
+            "ValueError: broken after a checkpoint", 1, 0,
+            {"cursor": 1, "witnesses": []})
+
+
+class TestSerial:
     def test_empty_batch(self):
         assert run_items(_double, [], jobs=4) == []
 
