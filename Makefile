@@ -2,7 +2,7 @@
 
 .PHONY: install test test-all lint bench bench-check bench-sched \
 	bench-solver bench-smoke bench-saeg bench-window bench-daemon \
-	json-identity table2 \
+	json-identity loc table2 \
 	fig8 repair \
 	gallery fuzz fuzz-smoke \
 	fuzz-contract-smoke contract-matrix fault-smoke fault-sweep \
@@ -171,6 +171,10 @@ bench-window:
 # BASELINE=<checkout of an earlier commit>/src gives the before rows.
 bench-daemon:
 	python benchmarks/bench_daemon.py $(if $(BASELINE),--baseline $(BASELINE))
+
+# The tracked `src/` size (ROADMAP): `wc -l` total of src/repro/**/*.py.
+loc:
+	@find src/repro -name '*.py' -exec cat {} + | wc -l
 
 # `clou analyze --engine all --json` over the whole corpus, default config
 # and four variants, byte-compared (stdout and exit code) against the

@@ -48,6 +48,9 @@ class Function:
     return_type: Type
     blocks: list[BasicBlock] = field(default_factory=list)
     is_public: bool = True
+    # [start, end) of the definition in ``Module.tokens``; None for
+    # functions no parser produced (A-CFG copies, hand-built IR).
+    span: tuple[int, int] | None = field(default=None, compare=False)
 
     def block(self, label: str) -> BasicBlock:
         for block in self.blocks:
@@ -93,6 +96,8 @@ class Module:
     functions: dict[str, Function] = field(default_factory=dict)
     globals: dict[str, GlobalVariable] = field(default_factory=dict)
     structs: dict[str, Type] = field(default_factory=dict)
+    # The source tokens ``compile_c`` parsed (empty for hand-built IR).
+    tokens: list = field(default_factory=list, repr=False, compare=False)
 
     def add_function(self, function: Function) -> None:
         self.functions[function.name] = function

@@ -183,6 +183,8 @@ class FunctionDef:
     params: list[tuple[str, Type]]
     body: Compound | None  # None: declaration only (undefined function)
     is_static: bool = False
+    # [start, end) token indices of a definition; None for a prototype.
+    span: tuple[int, int] | None = None
 
 
 @dataclass
@@ -198,3 +200,4 @@ class TranslationUnit:
     functions: list[FunctionDef] = field(default_factory=list)
     globals: list[GlobalDef] = field(default_factory=list)
     structs: dict[str, Type] = field(default_factory=dict)
+    tokens: list = field(default_factory=list)  # what the parser read

@@ -95,7 +95,7 @@ class Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.position = 0
-        self.unit = TranslationUnit()
+        self.unit = TranslationUnit(tokens=tokens)
 
     # -- token helpers ----------------------------------------------------
 
@@ -243,18 +243,19 @@ class Parser:
                 raise ParseError("typedef is not supported; use the "
                                  "built-in fixed-width types",
                                  self.current.line)
+            start = self.position
             base, qualifiers = self.parse_type_specifier()
             if isinstance(base, StructType) and self.accept(";"):
                 continue  # bare struct definition
             name, type_ = self.parse_declarator(base)
             if self.check("("):
-                self._parse_function(name, type_, qualifiers)
+                self._parse_function(name, type_, qualifiers, start)
             else:
                 self._parse_global_tail(name, type_, qualifiers)
         return self.unit
 
     def _parse_function(self, name: str, return_type: Type,
-                        qualifiers: dict[str, bool]) -> None:
+                        qualifiers: dict[str, bool], start: int) -> None:
         self.expect("(")
         params: list[tuple[str, Type]] = []
         if not self.check(")"):
@@ -278,7 +279,8 @@ class Parser:
         body = self.parse_compound()
         self.unit.functions.append(FunctionDef(
             name=name, return_type=return_type, params=params,
-            body=body, is_static=qualifiers["static"]))
+            body=body, is_static=qualifiers["static"],
+            span=(start, self.position)))
 
     def _parse_global_tail(self, name: str, type_: Type,
                            qualifiers: dict[str, bool]) -> None:
@@ -549,10 +551,7 @@ def _const_fold(expr: Expr) -> int | None:
     return None
 
 
-def parse_c(source: str,
-            tokens: list[Token] | None = None) -> TranslationUnit:
-    """Parse mini-C source into a translation unit.  ``tokens`` is
-    ``tokenize(source)`` when the caller already holds it (the parser
-    only reads the list)."""
-    return Parser(tokens if tokens is not None
-                  else tokenize(source)).parse_unit()
+def parse_c(source: str) -> TranslationUnit:
+    """Parse mini-C source into a translation unit that keeps the token
+    list it was parsed from (each definition's ``span`` indexes it)."""
+    return Parser(tokenize(source)).parse_unit()

@@ -109,6 +109,7 @@ class FunctionLowerer:
             params=list(definition.params),
             return_type=definition.return_type,
             is_public=not definition.is_static,
+            span=definition.span,
         )
         self.builder = IRBuilder(self.function)
         self.scope: list[dict[str, Value]] = [{}]
@@ -584,7 +585,7 @@ class FunctionLowerer:
 class ModuleLowerer:
     def __init__(self, unit: TranslationUnit, name: str = ""):
         self.unit = unit
-        self.module = Module(name=name)
+        self.module = Module(name=name, tokens=unit.tokens)
         self.signatures: dict[str, Type] = {}
         self._string_counter = itertools.count(0)
 
@@ -630,12 +631,11 @@ def _fold_initializer(init):
     return init
 
 
-def compile_c(source: str, name: str = "",
-              tokens: list | None = None) -> Module:
+def compile_c(source: str, name: str = "") -> Module:
     """Compile mini-C source text to an IR module (the Clang stage of
-    Fig. 6).  ``tokens`` is ``tokenize(source)`` when the caller
-    already holds it."""
+    Fig. 6).  The module keeps the source tokens and each function's
+    span in them (:mod:`repro.sched.digest` hashes those)."""
     from repro.minic.cparser import parse_c
 
-    unit = parse_c(source, tokens)
+    unit = parse_c(source)
     return ModuleLowerer(unit, name=name).lower()

@@ -51,9 +51,9 @@ def item_cache_key(*, kind: str, source: str = "", source_key: str = "",
     ``source_key`` names the source-content component of the key
     directly — the session passes the *function-granular* digest from
     :mod:`repro.sched.digest`, so an edit elsewhere in the module does
-    not move this item's address.  When empty (lint items, or sources
-    the splitter cannot tokenize) it falls back to the module-level
-    digest of ``source``.
+    not move this item's address.  When empty (lint items, or a
+    function the module does not define) it falls back to the
+    module-level digest of ``source``.
     """
     payload = json.dumps(
         {

@@ -15,30 +15,27 @@ computes a **normalized per-function digest** instead, so:
   every key (the preamble digest is order-sensitive), which is the
   conservative direction.
 
-A function's digest covers, in order:
+The function boundaries are the parser's: ``compile_c`` keeps the token
+list on the :class:`~repro.ir.Module` and each defined function's
+``[start, end)`` span in it, so the tokens a key covers are exactly the
+tokens that were lowered into the function.  A function's digest
+covers, in order:
 
-1. the **preamble** — every top-level token outside function
-   definitions (globals, struct definitions, prototypes), which can
-   change the meaning of any body;
+1. the **preamble** — every token outside the module's function spans
+   (globals, struct definitions, prototypes, and a definition shadowed
+   by a later one of the same name), which can change the meaning of
+   any body;
 2. its **own** normalized token stream (signature + body);
 3. the own-streams of every *transitively referenced* defined function
    (an over-approximation of the call graph: any identifier occurrence
    counts as a potential call — safe, never unsound).
-
-The splitter understands exactly the mini-C top-level grammar
-(declarations end at a depth-0 ``;``; a depth-0 ``{`` preceded by ``)``
-opens a function body).  Anything it cannot classify makes
-:func:`function_digests` return ``None`` and the caller falls back to
-the module-level digest — incremental reuse degrades, correctness does
-not.
 """
 
 from __future__ import annotations
 
 import hashlib
 
-from repro.errors import ParseError
-from repro.minic.lexer import Token, tokenize
+from repro.ir import Module
 
 __all__ = ["DIGEST_VERSION", "function_digests"]
 
@@ -55,100 +52,32 @@ def _hash(parts) -> str:
     return digest.hexdigest()
 
 
-def _normalize(tokens: list[Token]) -> list[str]:
+def _normalize(tokens) -> list[str]:
     # kind:text pairs; line numbers are deliberately dropped (they never
     # reach the IR), and so are whitespace/comments/preproc (the lexer
     # already discarded them).
     return [f"{token.kind}\x00{token.text}" for token in tokens]
 
 
-def _segments(tokens: list[Token]):
-    """Split a top-level token stream into ``("function", name, toks)``
-    and ``("decl", None, toks)`` segments, or ``None`` if the stream
-    does not fit the mini-C top-level shape."""
-    segments = []
-    current: list[Token] = []
-    brace = 0
-    in_function_body = False
-    previous: Token | None = None
-    for token in tokens:
-        if token.kind == "eof":
-            break
-        current.append(token)
-        if token.kind == "op" and token.text == "{":
-            if brace == 0:
-                # In the mini-C grammar a depth-0 brace after `)` can
-                # only open a function body; every other depth-0 brace
-                # (struct body, initializer) belongs to a declaration
-                # that will end at its `;`.
-                in_function_body = (previous is not None
-                                    and previous.kind == "op"
-                                    and previous.text == ")")
-            brace += 1
-        elif token.kind == "op" and token.text == "}":
-            brace -= 1
-            if brace < 0:
-                return None
-            if brace == 0 and in_function_body:
-                name = _function_name(current)
-                if name is None:
-                    return None
-                segments.append(("function", name, current))
-                current = []
-                in_function_body = False
-        elif token.kind == "op" and token.text == ";" and brace == 0:
-            segments.append(("decl", None, current))
-            current = []
-        previous = token
-    if brace != 0:
-        return None
-    if current:
-        # Trailing tokens that close no construct: treat as preamble so
-        # they still affect every key.
-        segments.append(("decl", None, current))
-    return segments
-
-
-def _function_name(segment: list[Token]) -> str | None:
-    """The identifier immediately before the first ``(`` — the
-    declarator name in the mini-C grammar (params contain no parens)."""
-    for index, token in enumerate(segment):
-        if token.kind == "op" and token.text == "(":
-            if index and segment[index - 1].kind == "ident":
-                return segment[index - 1].text
-            return None
-    return None
-
-
-def function_digests(source: str, tokens: list[Token] | None = None
-                     ) -> dict[str, str] | None:
-    """Map every defined function to its closure digest, or ``None``
-    when the source cannot be split (fall back to module granularity).
-
-    ``tokens`` is ``tokenize(source)`` when the caller already holds it:
-    the session passes the list its parser read
-    (:func:`repro.sched.worker.tokens_for`), so a source is tokenized
-    once per process, not once for the parser and once here.
-    """
-    if tokens is None:
-        try:
-            tokens = tokenize(source)
-        except ParseError:
-            return None
-    segments = _segments(tokens)
-    if segments is None:
-        return None
+def function_digests(module: Module) -> dict[str, str]:
+    """Map every function ``compile_c`` defined in ``module`` to its
+    closure digest."""
+    tokens = module.tokens
+    defined = sorted((f for f in module.functions.values()
+                      if f.span is not None), key=lambda f: f.span)
     own: dict[str, str] = {}
     referenced: dict[str, set[str]] = {}
     preamble_parts: list[str] = []
-    for kind, name, segment in segments:
-        if kind == "function":
-            if name in own:
-                return None  # duplicate definition: not valid mini-C
-            own[name] = _hash(_normalize(segment))
-            referenced[name] = {t.text for t in segment if t.kind == "ident"}
-        else:
-            preamble_parts.extend(_normalize(segment))
+    position = 0
+    for function in defined:
+        start, end = function.span
+        segment = tokens[start:end]
+        own[function.name] = _hash(_normalize(segment))
+        referenced[function.name] = {t.text for t in segment
+                                     if t.kind == "ident"}
+        preamble_parts.extend(_normalize(tokens[position:start]))
+        position = end
+    preamble_parts.extend(_normalize(tokens[position:-1]))  # not eof
     preamble = _hash(preamble_parts)
     digests: dict[str, str] = {}
     for name in own:

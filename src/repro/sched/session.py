@@ -402,16 +402,11 @@ class ClouSession:
         names = request.functions or tuple(
             f.name for f in module.public_functions())
         # Function-granular keying (incremental re-analysis): an edit to
-        # one function only moves that function's cache address.  When
-        # the splitter cannot classify the source, fall back to the
-        # module-level digest — strictly more invalidation, never less.
-        # Without a cache there is nothing to key.
+        # one function only moves that function's cache address.  A
+        # requested name the module does not define keys on the
+        # module-level digest.  Without a cache there is nothing to key.
         keyed = request.kind == "analyze" and self.cache is not None
-        digests = {}
-        if keyed:
-            digests = function_digests(
-                request.source,
-                worker.tokens_for(request.source, request.name)) or {}
+        digests = function_digests(module) if keyed else {}
         items = []
         for function_name in names:
             payload = {

@@ -12,7 +12,7 @@ are printed separately (to stderr under ``--json``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 @dataclass
@@ -76,23 +76,11 @@ class SessionStats:
 
     def merge(self, other: "SessionStats") -> None:
         """Fold another batch's counters into this one (the session keeps
-        a running total across every ``run()`` call)."""
-        self.items += other.items
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.cache_corrupt += other.cache_corrupt
-        self.retries += other.retries
-        self.timeouts += other.timeouts
-        self.crashes += other.crashes
-        self.errors += other.errors
-        self.resumed += other.resumed
-        self.memory_killed += other.memory_killed
-        self.candidates += other.candidates
-        self.pruned += other.pruned
-        self.skipped += other.skipped
-        self.work_seconds += other.work_seconds
-        self.wall_seconds += other.wall_seconds
-        self.per_item.extend(other.per_item)
+        a running total across every ``run()`` call).  ``per_item`` is
+        not carried over: a running total must not grow with every
+        item it has seen."""
+        for name in _SUMMED:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     @property
     def cache_hit_rate(self) -> float:
@@ -103,26 +91,14 @@ class SessionStats:
         """The stable wire form (documented in DESIGN.md): plain JSON
         scalars, one key per counter, ``cache_hit_rate`` derived.
         ``per_item`` detail never crosses the wire."""
-        return {
-            "v": 1,
-            "jobs": self.jobs,
-            "items": self.items,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_hit_rate": round(self.cache_hit_rate, 4),
-            "cache_corrupt": self.cache_corrupt,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "crashes": self.crashes,
-            "errors": self.errors,
-            "resumed": self.resumed,
-            "memory_killed": self.memory_killed,
-            "candidates": self.candidates,
-            "pruned": self.pruned,
-            "skipped": self.skipped,
-            "work_seconds": round(self.work_seconds, 4),
-            "wall_seconds": round(self.wall_seconds, 4),
-        }
+        out = {"v": 1, "jobs": self.jobs}
+        for name in _SUMMED:
+            value = getattr(self, name)
+            out[name] = round(value, 4) if isinstance(value, float) \
+                else value
+            if name == "cache_misses":  # the derived rate follows it
+                out["cache_hit_rate"] = round(self.cache_hit_rate, 4)
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "SessionStats":
@@ -137,15 +113,10 @@ class SessionStats:
         if version != 1:
             raise ValueError(f"unsupported SessionStats schema v{version}")
         stats = cls()
-        for key in ("jobs", "items", "cache_hits", "cache_misses",
-                    "cache_corrupt",
-                    "retries", "timeouts", "crashes", "errors", "resumed",
-                    "memory_killed", "candidates", "pruned", "skipped"):
-            if key in data:
-                setattr(stats, key, int(data[key]))
-        for key in ("work_seconds", "wall_seconds"):
-            if key in data:
-                setattr(stats, key, float(data[key]))
+        for name in ("jobs",) + _SUMMED:
+            if name in data:
+                kind = type(getattr(stats, name))
+                setattr(stats, name, kind(data[name]))
         return stats
 
     def summary(self) -> str:
@@ -168,3 +139,9 @@ class SessionStats:
             f"skipped={self.skipped} | "
             f"work {self.work_seconds:.2f}s, wall {self.wall_seconds:.2f}s"
         )
+
+
+#: Every counter :meth:`SessionStats.merge` sums and the wire form
+#: carries, in wire order: all fields but ``jobs`` and ``per_item``.
+_SUMMED = tuple(f.name for f in fields(SessionStats)
+                if f.name not in ("jobs", "per_item"))

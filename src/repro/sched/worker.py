@@ -10,11 +10,10 @@ Two process-local memo caches make the pipeline incremental within a
 worker (and within the serial in-process path, where they implement the
 one-S-AEG-per-function sharing across engines):
 
-- the **module cache** — the token list and the ``compile_c`` output
-  keyed by source digest, so the translation unit is tokenized and
-  compiled once per process, not once per (function, engine) item, and
-  the session's digest splitter reads the parser's tokens
-  (:func:`tokens_for`) instead of tokenizing again;
+- the **module cache** — the ``compile_c`` output keyed by source
+  digest, so the translation unit is tokenized and compiled once per
+  process, not once per (function, engine) item; the session's
+  function digests read the token spans the module carries;
 - the **S-AEG cache** — ``build_acfg`` + :class:`SAEG` keyed by (source
   digest, function).  Both detection engines read the same S-AEG; the
   engines never mutate it (``ClouSTL`` keeps its bypass table on the
@@ -41,7 +40,7 @@ from repro.sched.cache import source_digest
 _MODULE_CACHE_SIZE = 8
 _SAEG_CACHE_SIZE = 64
 
-_module_cache: "OrderedDict[str, tuple[list, object]]" = OrderedDict()
+_module_cache: "OrderedDict[str, object]" = OrderedDict()
 _saeg_cache: "OrderedDict[tuple[str, str], SAEG]" = OrderedDict()
 _saeg_stats = {"hits": 0, "misses": 0}
 
@@ -71,28 +70,13 @@ def _cached(cache: OrderedDict, size: int, key, build):
     return value
 
 
-def _unit_for(source: str, name: str) -> tuple[list, object]:
-    """``(tokens, module)`` for ``source`` (process-local memo): one
-    tokenization feeds the parser and the digest splitter."""
-    from repro.minic import compile_c, tokenize
-
-    def build():
-        tokens = tokenize(source)
-        return tokens, compile_c(source, name=name, tokens=tokens)
-
-    key = source_digest(source) + "\x00" + name
-    return _cached(_module_cache, _MODULE_CACHE_SIZE, key, build)
-
-
 def module_for(source: str, name: str = ""):
     """The compiled module for ``source`` (process-local memo)."""
-    return _unit_for(source, name)[1]
+    from repro.minic import compile_c
 
-
-def tokens_for(source: str, name: str = "") -> list:
-    """The token list :func:`module_for` parsed ``source`` from (the
-    same memo entry; compiles the source if it is not resident)."""
-    return _unit_for(source, name)[0]
+    key = source_digest(source) + "\x00" + name
+    return _cached(_module_cache, _MODULE_CACHE_SIZE, key,
+                   lambda: compile_c(source, name=name))
 
 
 def saeg_for(source: str, name: str, function: str) -> SAEG:

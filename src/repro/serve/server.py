@@ -463,10 +463,7 @@ class ClouServer:
         # dispatcher thread, only this one request.
         try:
             request = AnalysisRequest.from_dict(payload)
-            if deadline is not None:
-                [result] = self.session.run([request], deadline=deadline)
-            else:
-                [result] = self.session.run([request])
+            [result] = self.session.run([request], deadline=deadline)
             return protocol.make_response(id, result=result.to_dict())
         except Exception as error:
             return protocol.error_response(id, str(error))

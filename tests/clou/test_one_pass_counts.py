@@ -1,6 +1,8 @@
 """Counts, totals and the report dicts from one transmitter list per
-report, against the per-class recount they replaced; and the digest
-splitter reading the parser's tokens, against its own tokenization.
+report, against the per-class recount they replaced; and function
+digests from the parser's token spans, against the top-level splitter
+they replaced (``tests/sched/digest_reference.py``), from one
+tokenization per source.
 
 ``_old_*`` below are the per-class recounts, which rebuilt
 :meth:`FunctionReport.transmitters` for every class count (four times
@@ -23,10 +25,12 @@ from repro.clou.engine import ClouConfig
 from repro.clou.serialize import function_report_dict, module_report_dict, \
     witness_dict
 from repro.lcm.taxonomy import TransmitterClass
+from repro.errors import ParseError
 from repro.minic import tokenize
 from repro.sched import AnalysisRequest, ClouSession, worker
 from repro.sched.cache import item_cache_key
 from repro.sched.digest import function_digests
+from tests.sched import digest_reference
 
 SLOW_CRYPTO = {"donna", "chacha20"}
 
@@ -151,11 +155,11 @@ def _sources():
 @pytest.mark.parametrize("name,source", list(_sources()))
 def test_shared_tokens_give_the_same_digests(name, source, tmp_path):
     worker.clear_caches()
-    shared = worker.tokens_for(source, name)
-    assert [(t.kind, t.text, t.value, t.line) for t in shared] == \
+    module = worker.module_for(source, name)
+    assert [(t.kind, t.text, t.value, t.line) for t in module.tokens] == \
         [(t.kind, t.text, t.value, t.line) for t in tokenize(source)]
-    digests = function_digests(source, shared)
-    assert digests is not None and digests == function_digests(source)
+    digests = function_digests(module)
+    assert digests == digest_reference.function_digests(source)
     # The session keys each function on exactly these digests.
     session = ClouSession(jobs=1, cache=True, cache_dir=str(tmp_path))
     request = AnalysisRequest.analyze(source, engine="pht", name=name)
@@ -169,16 +173,21 @@ def test_shared_tokens_give_the_same_digests(name, source, tmp_path):
         for function in worker.module_for(source, name).public_functions()]
 
 
-def test_unsplittable_source_falls_back_to_none():
-    source = "int f(void) { return 0;"
-    assert function_digests(source) is None
-    assert function_digests(source, tokenize(source)) is None
+def test_unsplittable_source_raises_before_any_digest(monkeypatch,
+                                                      tmp_path):
+    import repro.sched.session as session_module
+
+    monkeypatch.setattr(session_module, "function_digests",
+                        lambda *args: pytest.fail("digest of a bad source"))
+    session = ClouSession(jobs=1, cache=True, cache_dir=str(tmp_path))
+    for source in ("int f(void) { return 0;", 'int f; "unterminated'):
+        with pytest.raises(ParseError):
+            session._expand(0, AnalysisRequest.analyze(source))
 
 
 def test_one_tokenization_per_source(monkeypatch, tmp_path):
     import repro.minic as minic
     import repro.minic.cparser as cparser
-    import repro.sched.digest as digest
 
     calls = []
     real = minic.tokenize
@@ -186,7 +195,7 @@ def test_one_tokenization_per_source(monkeypatch, tmp_path):
     def counted(source):
         calls.append(1)
         return real(source)
-    for module in (minic, cparser, digest):
+    for module in (minic, cparser):
         monkeypatch.setattr(module, "tokenize", counted)
     worker.clear_caches()
     source = openssl_like_source(6, 5)

@@ -90,6 +90,17 @@ class TestAnalyze:
         assert report.stats.items == 1
         assert report.stats.per_item[0].kind == "analyze"
 
+    def test_running_total_keeps_no_per_item_records(self):
+        # The session total lives as long as a daemon: it sums counters
+        # and must not keep one record per item it has ever run.
+        session = _session()
+        for _ in range(3):
+            [result] = session.run([AnalysisRequest.analyze(
+                SPECTRE_V1, engine="pht")])
+            assert len(result.stats.per_item) == 1
+        assert session.stats.items == 3
+        assert session.stats.per_item == []
+
     def test_stats_never_in_stable_json(self):
         session = _session()
         report = session.analyze(AnalysisRequest.analyze(SPECTRE_V1, engine="pht"))

@@ -372,7 +372,7 @@ class TestDeadlines:
             client.analyze(AnalysisRequest.analyze("int y;"))
         first, second = served.session.calls
         assert first["deadline"] == pytest.approx(deadline)
-        assert second == {}          # no deadline, no kwarg: old stubs work
+        assert second == {"deadline": None}  # one call shape, no fork
 
 
 # ----------------------------------------------------------------------
