@@ -3,18 +3,29 @@
 Replays the end-to-end benchmark's ``daemon-edit`` stream (seed 0: the
 12-function OpenSSL-shaped unit, three ``acc`` edits then one unchanged
 re-send per group, one pass = 12 requests) through the steps the
-daemon's dispatcher runs for one ``analyze`` op, in one process:
+daemon's dispatcher runs for one ``analyze`` op, and the client's, in
+one process:
 
 - ``decode``: ``AnalysisRequest.from_dict`` of the wire request;
-- ``run``: ``ClouSession.run`` (jobs 1, a fresh cache directory);
-- ``to_dict``: ``AnalysisResult.to_dict``;
-- ``send``: ``protocol.encode`` of the response and ``sendall`` on a
-  socket pair whose other end a thread drains;
+- ``compile``: the ``compile_c`` call of a ``module_for`` miss, inside
+  ``ClouSession.run`` (jobs 1, a fresh cache directory);
+- ``run``: the rest of ``ClouSession.run``;
+- ``encode``: the server's response encoder
+  (``repro.serve.server.encode_result``; a tree without it encodes
+  ``protocol.make_response(id, result=result.to_dict())``);
+- ``send``: ``sendall`` of the line on a socket pair whose other end a
+  thread drains;
+- ``settle``: the server's per-reply hook
+  (``repro.serve.server.settle_heap``; nothing in a tree without it);
+- ``client``: ``protocol.decode_line`` of the line and
+  ``AnalysisResult.from_dict`` of its result;
 
 plus the time of the cyclic garbage collector's passes per generation
 (``gc.callbacks``) inside each request.  The warm-up request (the
-unedited unit on an empty cache) is not recorded.  The client's side is
-not measured.
+unedited unit on an empty cache) is not recorded.  Each response line
+is hashed with its two wall-clock stats fields (``work_seconds``,
+``wall_seconds``) zeroed; the run exits 1 if the trees' hashes or
+hit/miss ledgers differ.
 
 With ``--baseline SRC`` the same stream also runs against another source
 tree (the ``src`` of a checkout of an earlier commit), alternating trees
@@ -28,9 +39,11 @@ Each measurement is a fresh interpreter with the tree on ``PYTHONPATH``.
 
 import argparse
 import gc
+import hashlib
 import json
 import os
 import platform
+import re
 import socket
 import statistics
 import subprocess
@@ -41,8 +54,35 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-STEPS = ("decode", "run", "to_dict", "send")
+STEPS = ("decode", "compile", "run", "encode", "send", "settle", "client")
 GENERATIONS = (0, 1, 2)
+#: The stats fields of a response that hold wall-clock seconds.
+_TIMINGS = re.compile(rb'"(work_seconds|wall_seconds)":[^,}]*')
+
+
+def line_digest(line: bytes) -> str:
+    """sha256 of a response line with its wall-clock fields zeroed (a
+    key name in quotes cannot occur inside a JSON string)."""
+    return hashlib.sha256(_TIMINGS.sub(rb'"\1":0', line)).hexdigest()
+
+
+class _CompileTimer:
+    """Seconds spent in ``repro.minic.compile_c`` (``module_for`` looks
+    it up on every miss)."""
+
+    def __init__(self):
+        import repro.minic
+
+        self.seconds = 0.0
+        self._compile = repro.minic.compile_c
+        repro.minic.compile_c = self
+
+    def __call__(self, *args, **kwargs):
+        started = time.perf_counter()
+        try:
+            return self._compile(*args, **kwargs)
+        finally:
+            self.seconds += time.perf_counter() - started
 
 
 class _GCTimer:
@@ -70,10 +110,16 @@ def measure(passes: int) -> dict:
     """Per-request step and GC times of ``passes`` passes of the stream,
     in the tree on ``PYTHONPATH``."""
     sys.path.insert(0, str(ROOT / "benchmarks" / "e2e"))
-    from repro.sched import AnalysisRequest, ClouSession
-    from repro.serve import protocol
+    from repro.sched import AnalysisRequest, AnalysisResult, ClouSession
+    from repro.serve import protocol, server
     from workloads import (DaemonEdit, EditStream, OPENSSL_ROUNDS,
                            openssl_functions, request)
+
+    encode = getattr(server, "encode_result", None) or (
+        lambda id, result: protocol.encode(
+            protocol.make_response(id, result=result.to_dict())))
+    settle = getattr(server, "settle_heap", lambda: None)
+    compiles = _CompileTimer()
 
     functions = openssl_functions(OPENSSL_ROUNDS[:DaemonEdit.FUNCTIONS], 0)
     small = [index for index, text in enumerate(functions)
@@ -90,8 +136,11 @@ def measure(passes: int) -> dict:
     rows = []
     with tempfile.TemporaryDirectory() as cache_dir:
         session = ClouSession(jobs=1, cache=True, cache_dir=cache_dir)
-        session.run([request("\n\n".join(functions), "pht",
-                             "openssl_like.c")])
+        [warm] = session.run([request("\n\n".join(functions), "pht",
+                                      "openssl_like.c")])
+        encode(None, warm)
+        del warm
+        settle()
         timer = _GCTimer()
         gc.callbacks.append(timer)
         try:
@@ -99,29 +148,42 @@ def measure(passes: int) -> dict:
                 source, edited = stream.next()
                 wire = request(source, "pht", "openssl_like.c").to_dict()
                 gc_before, passes_before = timer.read()
-                marks = [time.perf_counter()]
+                compiled = compiles.seconds
+                marks = {"start": time.perf_counter()}
                 req = AnalysisRequest.from_dict(wire)
-                marks.append(time.perf_counter())
+                marks["decode"] = time.perf_counter()
                 [result] = session.run([req])
-                marks.append(time.perf_counter())
-                payload = result.to_dict()
-                marks.append(time.perf_counter())
-                server_end.sendall(protocol.encode(
-                    protocol.make_response(number, result=payload)))
-                marks.append(time.perf_counter())
+                marks["run"] = time.perf_counter()
+                line = encode(number, result)
+                marks["encode"] = time.perf_counter()
+                server_end.sendall(line)
+                marks["send"] = time.perf_counter()
+                hits = result.stats.cache_hits
+                misses = result.stats.cache_misses
+                del result
+                settle()
+                marks["settle"] = time.perf_counter()
+                received = AnalysisResult.from_dict(
+                    protocol.decode_line(line)["result"])
+                marks["client"] = time.perf_counter()
                 gc_after, passes_after = timer.read()
+                del received
+                names = list(marks)
+                steps = {later: marks[later] - marks[earlier]
+                         for earlier, later in zip(names, names[1:])}
+                steps["compile"] = compiles.seconds - compiled
+                steps["run"] -= steps["compile"]
                 rows.append({
                     "edited": edited,
-                    "hits": result.stats.cache_hits,
-                    "misses": result.stats.cache_misses,
-                    **{f"{step}_ms": 1000 * (marks[i + 1] - marks[i])
-                       for i, step in enumerate(STEPS)},
+                    "hits": hits,
+                    "misses": misses,
+                    "line": line_digest(line),
+                    **{f"{step}_ms": 1000 * steps[step] for step in STEPS},
                     **{f"gc{g}_ms": 1000 * (gc_after[g] - gc_before[g])
                        for g in GENERATIONS},
                     **{f"gc{g}_passes": passes_after[g] - passes_before[g]
                        for g in GENERATIONS},
                 })
-                del result, payload
         finally:
             gc.callbacks.remove(timer)
     server_end.close()
@@ -202,6 +264,8 @@ def main(argv: list[str] | None = None) -> int:
             rows[tree] += _measure_tree(src, args.passes)
     ledgers = {tree: [(r["hits"], r["misses"]) for r in tree_rows]
                for tree, tree_rows in rows.items()}
+    lines = {tree: [r["line"] for r in tree_rows]
+             for tree, tree_rows in rows.items()}
     results = {}
     for tree, tree_rows in rows.items():
         results[tree] = {
@@ -227,17 +291,24 @@ def main(argv: list[str] | None = None) -> int:
         "requests_per_tree": args.passes * 12 * args.repeat,
         "statistic": "mean per request in plain milliseconds (and mean "
                      "collector passes); total_ms and median_total_ms sum "
-                     "the four steps; gcN_ms is the collector's time in "
-                     "generation N inside those steps",
+                     "the seven steps (server and client); gcN_ms is the "
+                     "collector's time in generation N inside those "
+                     "steps",
         "trees": "current: this checkout; baseline: the --baseline "
                  "source tree",
         "results": results,
         "same_hit_ledger": len({tuple(v) for v in ledgers.values()}) == 1,
+        "same_response_lines": len({tuple(v)
+                                    for v in lines.values()}) == 1,
     }
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=1)
         handle.write("\n")
-    return 0 if payload["same_hit_ledger"] else 1
+    for check in ("same_hit_ledger", "same_response_lines"):
+        if not payload[check]:
+            print(f"{check}: false", file=sys.stderr)
+    return 0 if payload["same_hit_ledger"] and \
+        payload["same_response_lines"] else 1
 
 
 if __name__ == "__main__":

@@ -85,28 +85,75 @@ def module_report_dict(report: ModuleReport,
                        stable: bool = False) -> dict[str, Any]:
     functions = sorted(report.functions, key=lambda f: f.function)
     transmitters = [f.transmitters() for f in functions]
+    out = _module_fields(
+        report, class_counts(w for listed in transmitters for w in listed),
+        [function_report_dict(f, stable=stable, transmitters=listed)
+         for f, listed in zip(functions, transmitters)])
+    if not stable:
+        out["elapsed_seconds"] = report.elapsed
+    return out
+
+
+def _module_fields(report: ModuleReport, totals, functions) -> dict[str, Any]:
+    """The stable module dict around its ``functions`` entries."""
     out: dict[str, Any] = {
         "name": report.name,
         "engine": report.engine,
         "leaky": report.leaky,
         "verdict": report.verdict,
         "complete": report.complete,
-        "totals": {
-            klass.value: count for klass, count in class_counts(
-                w for listed in transmitters for w in listed).items()
-        },
+        "totals": {klass.value: count for klass, count in totals.items()},
         "candidates": report.candidates,
         "pruned": report.pruned,
         "coverage": report.coverage(),
-        "functions": [function_report_dict(f, stable=stable,
-                                           transmitters=listed)
-                      for f, listed in zip(functions, transmitters)],
+        "functions": functions,
     }
     if report.config is not None:
         out["config"] = report.config.to_dict()
-    if not stable:
-        out["elapsed_seconds"] = report.elapsed
     return out
+
+
+def compact_json(value: Any) -> bytes:
+    """``value`` as one line of compact JSON in UTF-8 (the daemon's wire
+    form)."""
+    return json.dumps(value, ensure_ascii=False,
+                      separators=(",", ":")).encode("utf-8")
+
+
+def json_object(fields) -> bytes:
+    """The compact JSON object of ``(key, compact JSON)`` pairs: what
+    :func:`compact_json` writes for the dict of the decoded values."""
+    parts = []
+    for key, text in fields:
+        parts += (b",", compact_json(key), b":", text)
+    parts[0] = b"{"  # for the comma before the first key
+    parts.append(b"}")
+    return b"".join(parts)
+
+
+def function_entry_json(report: FunctionReport
+                        ) -> tuple[bytes, dict[TransmitterClass, int]]:
+    """A function's stable entry as compact JSON, and its class counts
+    (what the module ``totals`` sum)."""
+    transmitters = report.transmitters()
+    return (compact_json(function_report_dict(report, stable=True,
+                                              transmitters=transmitters)),
+            class_counts(transmitters))
+
+
+def module_report_json(report: ModuleReport, entries) -> bytes:
+    """``compact_json(module_report_dict(report, stable=True))`` from each
+    function's :func:`function_entry_json` pair, given in
+    ``report.functions`` order, so a caller that keeps the pairs encodes
+    each function once."""
+    ordered = sorted(zip(report.functions, entries),
+                     key=lambda pair: pair[0].function)
+    totals = {klass: sum(counts[klass] for _, (_, counts) in ordered)
+              for klass in TransmitterClass}
+    functions = b"[" + b",".join(text for _, (text, _) in ordered) + b"]"
+    return json_object(
+        (key, functions if key == "functions" else compact_json(value))
+        for key, value in _module_fields(report, totals, None).items())
 
 
 def repair_result_dict(result, stable: bool = True) -> dict[str, Any]:
@@ -150,26 +197,32 @@ def to_json(report: ModuleReport, indent: int = 2,
 # ----------------------------------------------------------------------
 
 
-def _noderef_from_dict(data: dict[str, Any] | None) -> NodeRef | None:
+def _noderef_from_dict(data: dict[str, Any] | None,
+                       shared: dict | None = None) -> NodeRef | None:
+    """``shared`` maps each field tuple to the one :class:`NodeRef`
+    decoded for it, so equal references in a report share one object."""
     if data is None:
         return None
-    return NodeRef(
-        block=data["block"],
-        index=data["index"],
-        text=data["text"],
-        provenance=data.get("provenance", ""),
-    )
+    key = (data["block"], data["index"], data["text"],
+           data.get("provenance", ""))
+    if shared is None:
+        return NodeRef(*key)
+    ref = shared.get(key)
+    if ref is None:
+        ref = shared[key] = NodeRef(*key)
+    return ref
 
 
-def witness_from_dict(data: dict[str, Any]) -> ClouWitness:
+def witness_from_dict(data: dict[str, Any],
+                      shared: dict | None = None) -> ClouWitness:
     return ClouWitness(
         engine=data["engine"],
         klass=TransmitterClass(data["class"]),
-        transmit=_noderef_from_dict(data["transmit"]),
-        primitive=_noderef_from_dict(data["primitive"]),
-        access=_noderef_from_dict(data.get("access")),
-        index=_noderef_from_dict(data.get("index")),
-        window_start=_noderef_from_dict(data.get("window_start")),
+        transmit=_noderef_from_dict(data["transmit"], shared),
+        primitive=_noderef_from_dict(data["primitive"], shared),
+        access=_noderef_from_dict(data.get("access"), shared),
+        index=_noderef_from_dict(data.get("index"), shared),
+        window_start=_noderef_from_dict(data.get("window_start"), shared),
         transient_transmit=data.get("transient_transmit", True),
         transient_access=data.get("transient_access", False),
         store_hops=data.get("store_hops", 0),
@@ -179,10 +232,12 @@ def witness_from_dict(data: dict[str, Any]) -> ClouWitness:
 
 def function_report_from_dict(data: dict[str, Any]) -> FunctionReport:
     coverage = data.get("coverage", {})
+    shared: dict = {}
     return FunctionReport(
         function=data["function"],
         engine=data["engine"],
-        witnesses=[witness_from_dict(w) for w in data.get("transmitters", [])],
+        witnesses=[witness_from_dict(w, shared)
+                   for w in data.get("transmitters", [])],
         aeg_size=data.get("aeg_size", 0),
         elapsed=data.get("elapsed_seconds", 0.0),
         timed_out=data.get("timed_out", False),

@@ -98,6 +98,9 @@ class Module:
     structs: dict[str, Type] = field(default_factory=dict)
     # The source tokens ``compile_c`` parsed (empty for hand-built IR).
     tokens: list = field(default_factory=list, repr=False, compare=False)
+    # What ``compile_c`` of an edited version of this unit may reuse
+    # (``repro.minic.lower.UnitMemo``); None for hand-built IR.
+    memo: object = field(default=None, repr=False, compare=False)
 
     def add_function(self, function: Function) -> None:
         self.functions[function.name] = function

@@ -185,6 +185,9 @@ class FunctionDef:
     is_static: bool = False
     # [start, end) token indices of a definition; None for a prototype.
     span: tuple[int, int] | None = None
+    # An earlier compile's definition with the same tokens; its body was
+    # not parsed (``body`` is None until the lowering needs it).
+    reuse: object = None
 
 
 @dataclass

@@ -92,10 +92,15 @@ _PRECEDENCE = {
 
 
 class Parser:
-    def __init__(self, tokens: list[Token]):
+    """``previous`` is a module ``compile_c`` made from an earlier version
+    of the same unit: a definition whose tokens equal one of its
+    definitions is not parsed again (:meth:`_reusable`)."""
+
+    def __init__(self, tokens: list[Token], previous=None):
         self.tokens = tokens
         self.position = 0
         self.unit = TranslationUnit(tokens=tokens)
+        self.previous = previous
 
     # -- token helpers ----------------------------------------------------
 
@@ -256,6 +261,19 @@ class Parser:
 
     def _parse_function(self, name: str, return_type: Type,
                         qualifiers: dict[str, bool], start: int) -> None:
+        reused = self._reusable(name, start)
+        if reused is not None:
+            # The lowering reuses the earlier definition, or parses this
+            # one from ``span`` if the rest of the unit moved under it.
+            first, last = reused.function.span
+            end = start + last - first
+            self.position = end
+            self.unit.functions.append(FunctionDef(
+                name=name, return_type=return_type,
+                params=list(reused.function.params), body=None,
+                is_static=qualifiers["static"], span=(start, end),
+                reuse=reused))
+            return
         self.expect("(")
         params: list[tuple[str, Type]] = []
         if not self.check(")"):
@@ -281,6 +299,32 @@ class Parser:
             name=name, return_type=return_type, params=params,
             body=body, is_static=qualifiers["static"],
             span=(start, self.position)))
+
+    def _reusable(self, name: str, start: int):
+        """The earlier definition of ``name`` whose (kind, text) tokens
+        the tokens at ``start`` repeat, if it defines no struct (parsing
+        its body would have registered one)."""
+        if self.previous is None:
+            return None
+        tokens, old = self.tokens, self.previous.tokens
+        for definition in self.previous.memo.definitions.get(name, ()):
+            first, end = definition.function.span
+            if start + end - first > len(tokens) - 1:
+                continue  # would run past the eof token
+            if all(new.kind == was.kind and new.text == was.text
+                   for new, was in zip(tokens[start:start + end - first],
+                                       old[first:end])) \
+                    and not _defines_struct(old[first:end]):
+                return definition
+        return None
+
+    def definition_at(self, start: int) -> FunctionDef:
+        """Parse the one top-level function definition at ``start``."""
+        self.position = start
+        base, qualifiers = self.parse_type_specifier()
+        name, type_ = self.parse_declarator(base)
+        self._parse_function(name, type_, qualifiers, start)
+        return self.unit.functions[-1]
 
     def _parse_global_tail(self, name: str, type_: Type,
                            qualifiers: dict[str, bool]) -> None:
@@ -551,7 +595,15 @@ def _const_fold(expr: Expr) -> int | None:
     return None
 
 
-def parse_c(source: str) -> TranslationUnit:
+def _defines_struct(tokens: list[Token]) -> bool:
+    """Does ``struct NAME {`` occur in ``tokens``?"""
+    return any(token.kind == "keyword" and token.text == "struct"
+               and tokens[i + 2].text == "{"
+               for i, token in enumerate(tokens[:-2]))
+
+
+def parse_c(source: str, previous=None) -> TranslationUnit:
     """Parse mini-C source into a translation unit that keeps the token
-    list it was parsed from (each definition's ``span`` indexes it)."""
-    return Parser(tokenize(source)).parse_unit()
+    list it was parsed from (each definition's ``span`` indexes it).
+    ``previous``: see :class:`Parser`."""
+    return Parser(tokenize(source), previous).parse_unit()

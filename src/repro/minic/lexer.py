@@ -9,7 +9,7 @@ short-circuit logic).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import ParseError
 
@@ -52,8 +52,11 @@ _TOKEN_RE = re.compile(
 _ESCAPES = {"n": 10, "t": 9, "r": 13, "0": 0, "\\": 92, "'": 39, '"': 34}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One token.  A named tuple, which is quicker to build and smaller
+    than a frozen dataclass: a unit's token list is kept with its module
+    (the digests and the definition memo read it)."""
+
     kind: str  # 'number' | 'char' | 'string' | 'ident' | 'keyword' | 'op' | 'eof'
     text: str
     value: int | str | None
@@ -67,24 +70,24 @@ def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
     position = 0
     line = 1
-    length = len(source)
-    while position < length:
-        match = _TOKEN_RE.match(source, position)
-        if match is None:
-            raise ParseError(
-                f"unexpected character {source[position]!r}", line
-            )
-        text = match.group(0)
+    for match in _TOKEN_RE.finditer(source):
+        if match.start() != position:
+            break  # an unmatched character before this match
+        position = match.end()
+        text = match.group()
         kind = match.lastgroup
-        if kind in ("ws", "line_comment", "block_comment", "preproc"):
-            line += text.count("\n")
-            position = match.end()
+        if kind == "ident":
+            tokens.append(Token("keyword" if text in KEYWORDS else "ident",
+                                text, text, line))
+            continue
+        if kind == "op":
+            tokens.append(Token("op", text, text, line))
             continue
         if kind == "number":
-            stripped = text.rstrip("uUlL")
-            value = int(stripped, 0)
-            tokens.append(Token("number", text, value, line))
-        elif kind == "char":
+            tokens.append(Token("number", text, int(text.rstrip("uUlL"), 0),
+                                line))
+            continue
+        if kind == "char":
             body = text[1:-1]
             if body.startswith("\\"):
                 value = _ESCAPES.get(body[1], ord(body[1]))
@@ -93,12 +96,8 @@ def tokenize(source: str) -> list[Token]:
             tokens.append(Token("number", text, value, line))
         elif kind == "string":
             tokens.append(Token("string", text, text[1:-1], line))
-        elif kind == "ident":
-            token_kind = "keyword" if text in KEYWORDS else "ident"
-            tokens.append(Token(token_kind, text, text, line))
-        else:
-            tokens.append(Token("op", text, text, line))
-        line += text.count("\n")
-        position = match.end()
+        line += text.count("\n")  # whitespace, comments, strings, chars
+    if position < len(source):
+        raise ParseError(f"unexpected character {source[position]!r}", line)
     tokens.append(Token("eof", "", None, line))
     return tokens

@@ -11,7 +11,7 @@ ignored, as §6.1 observes Clang -O0 does).
 
 from __future__ import annotations
 
-import itertools
+from dataclasses import dataclass, field, replace
 
 from repro.errors import LoweringError
 from repro.ir import (
@@ -34,7 +34,7 @@ from repro.ir import (
     Value,
     VoidType,
     pointer_to,
-    verify_module,
+    verify_function,
 )
 from repro.minic.cast import (
     Assign,
@@ -66,6 +66,7 @@ from repro.minic.cast import (
     Unary,
     While,
 )
+from repro.minic.cparser import Parser, parse_c
 
 _FENCE_BUILTINS = {"lfence", "mfence", "__builtin_lfence", "__builtin_mfence",
                    "_mm_lfence", "_mm_mfence"}
@@ -117,7 +118,6 @@ class FunctionLowerer:
         self.retval: Temp | None = None
         self.exit_label = "exit"
         self.loop_stack: list[tuple[str, str]] = []  # (continue, break)
-        self._string_counter = itertools.count(0)
 
     # -- scope -----------------------------------------------------------
 
@@ -582,18 +582,47 @@ class FunctionLowerer:
         return self.builder.cast(value, target)
 
 
+@dataclass
+class Definition:
+    """One lowered function definition (its ``span`` indexes
+    ``Module.tokens``), as a later compile of an edited unit may reuse
+    it: with the ``.str`` number of its first string literal and the
+    globals its literals added, in order."""
+
+    function: Function
+    offset: int
+    strings: list[GlobalVariable]
+
+
+@dataclass
+class UnitMemo:
+    """What the lowering of a unit depends on outside each definition:
+    the (kind, text) of every token outside a definition, every
+    function's return type and every struct.  A definition is reused
+    only where all three are unchanged."""
+
+    preamble: list[tuple[str, str]]
+    signatures: dict[str, Type]
+    structs: dict[str, Type]
+    definitions: dict[str, list[Definition]] = field(default_factory=dict)
+
+
 class ModuleLowerer:
-    def __init__(self, unit: TranslationUnit, name: str = ""):
+    def __init__(self, unit: TranslationUnit, name: str = "",
+                 previous: Module | None = None):
         self.unit = unit
         self.module = Module(name=name, tokens=unit.tokens)
         self.signatures: dict[str, Type] = {}
-        self._string_counter = itertools.count(0)
+        self.previous = previous.memo if previous is not None else None
+        self._strings: list[GlobalVariable] = []
 
     def intern_string(self, text: str, builder: IRBuilder) -> Value:
-        name = f".str.{next(self._string_counter)}"
+        name = f".str.{len(self._strings)}"
         array = ArrayType(IntType(8), len(text) + 1)
-        self.module.add_global(GlobalVariable(
-            name=name, type=array, initializer=text, is_const=True))
+        variable = GlobalVariable(name=name, type=array, initializer=text,
+                                  is_const=True)
+        self._strings.append(variable)
+        self.module.add_global(variable)
         ref = GlobalRef(name, pointer_to(array))
         return builder.gep(ref, [builder.const(0, I32), builder.const(0, I32)])
 
@@ -608,13 +637,49 @@ class ModuleLowerer:
             ))
         for definition in self.unit.functions:
             self.signatures[definition.name] = definition.return_type
+        memo = UnitMemo(self._preamble(), self.signatures,
+                        self.module.structs)
+        same_context = self.previous is not None and (
+            memo.preamble == self.previous.preamble
+            and memo.signatures == self.previous.signatures
+            and memo.structs == self.previous.structs)
+        reused: set[int] = set()
         for definition in self.unit.functions:
-            if definition.body is None:
+            if definition.span is None:
                 continue  # declaration only: stays undefined (havoc at A-CFG)
-            lowered = FunctionLowerer(self, definition).lower()
-            self.module.add_function(lowered)
-        verify_module(self.module)
+            offset = len(self._strings)
+            earlier = definition.reuse
+            if earlier is not None and same_context and (
+                    earlier.offset == offset or not earlier.strings):
+                function = earlier.function
+                if function.span != definition.span:
+                    function = replace(function, span=definition.span)
+                reused.add(id(function))
+                for variable in earlier.strings:
+                    self._strings.append(variable)
+                    self.module.add_global(variable)
+            else:
+                if definition.body is None:
+                    definition = Parser(self.unit.tokens).definition_at(
+                        definition.span[0])
+                function = FunctionLowerer(self, definition).lower()
+            self.module.add_function(function)
+            memo.definitions.setdefault(function.name, []).append(
+                Definition(function, offset, self._strings[offset:]))
+        for function in self.module.functions.values():
+            if id(function) not in reused:
+                verify_function(function)
+        self.module.memo = memo
         return self.module
+
+    def _preamble(self) -> list[tuple[str, str]]:
+        tokens = self.unit.tokens
+        spans = [d.span for d in self.unit.functions if d.span is not None]
+        kept, position = [], 0
+        for start, end in sorted(spans) + [(len(tokens) - 1, None)]:
+            kept += [(t.kind, t.text) for t in tokens[position:start]]
+            position = end
+        return kept
 
 
 def _fold_initializer(init):
@@ -631,11 +696,15 @@ def _fold_initializer(init):
     return init
 
 
-def compile_c(source: str, name: str = "") -> Module:
+def compile_c(source: str, name: str = "",
+              previous: Module | None = None) -> Module:
     """Compile mini-C source text to an IR module (the Clang stage of
     Fig. 6).  The module keeps the source tokens and each function's
-    span in them (:mod:`repro.sched.digest` hashes those)."""
-    from repro.minic.cparser import parse_c
+    span in them (:mod:`repro.sched.digest` hashes those).
 
-    unit = parse_c(source)
-    return ModuleLowerer(unit, name=name).lower()
+    ``previous`` is a module this function compiled from an earlier
+    version of the same unit.  A definition whose tokens, preamble,
+    signatures and first ``.str`` number are unchanged reuses its parse
+    and lowered :class:`Function` (span re-based); the result equals a
+    compile without ``previous``."""
+    return ModuleLowerer(parse_c(source, previous), name, previous).lower()

@@ -36,8 +36,9 @@ from repro.analysis.lint import LintReport, lint_report_dict, \
 from repro.clou.engine import CLOU_DEFAULT_CONFIG, ClouConfig, ENGINES
 from repro.clou.repair import RepairResult
 from repro.clou.report import FunctionReport, ModuleReport
-from repro.clou.serialize import function_report_dict, \
-    function_report_from_dict, module_report_dict, module_report_from_dict, \
+from repro.clou.serialize import compact_json, function_entry_json, \
+    function_report_dict, function_report_from_dict, json_object, \
+    module_report_dict, module_report_from_dict, module_report_json, \
     repair_result_dict, repair_result_from_dict
 from repro.errors import AnalysisError, ReproError
 from repro.sched import worker
@@ -62,6 +63,16 @@ REQUEST_SCHEMA_VERSION = 1
 #: daemon's unchanged functions then hit without a disk read or a
 #: decode.  64 reports of the OpenSSL-shaped unit are about 4 MB.
 _RESIDENT_SIZE = 64
+
+
+@dataclass
+class _Resident:
+    """A report the session keeps decoded, and once a response has
+    encoded it, its stable function entry as compact JSON with its
+    class counts (:func:`repro.clou.serialize.function_entry_json`)."""
+
+    value: object
+    entry: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -175,6 +186,11 @@ class AnalysisResult:
     error: str | None = None
     exception: Exception | None = None
     stats: SessionStats = field(default_factory=SessionStats)
+    # The session's resident entries of ``report.functions``, in order
+    # (None where a report is not resident): :meth:`to_json` encodes
+    # each one once.
+    resident: list = field(default_factory=list, repr=False,
+                           compare=False)
 
     @property
     def ok(self) -> bool:
@@ -185,11 +201,36 @@ class AnalysisResult:
         form (no wall-clock fields), so a daemon response serializes
         byte-identically to a fresh CLI run; ``exception`` objects never
         cross the wire (``error`` carries the message)."""
+        return self._fields(module_report_dict(self.report, stable=True)
+                            if self.report is not None else None)
+
+    def to_json(self) -> bytes:
+        """``compact_json(self.to_dict())``, byte for byte: compact JSON
+        in UTF-8, with each resident function entry encoded once (the
+        text is kept on the session's resident entry and spliced into
+        every later response that hits it)."""
+        if self.report is None:
+            return compact_json(self.to_dict())
+        entries = []
+        for function, resident in zip(
+                self.report.functions,
+                self.resident or [None] * len(self.report.functions)):
+            if resident is None:
+                entries.append(function_entry_json(function))
+                continue
+            if resident.entry is None:
+                resident.entry = function_entry_json(function)
+            entries.append(resident.entry)
+        report = module_report_json(self.report, entries)
+        return json_object(
+            (key, report if key == "report" else compact_json(value))
+            for key, value in self._fields(None).items())
+
+    def _fields(self, report: dict | None) -> dict:
         return {
             "v": REQUEST_SCHEMA_VERSION,
             "request": self.request.to_dict(),
-            "report": (module_report_dict(self.report, stable=True)
-                       if self.report is not None else None),
+            "report": report,
             "repairs": ([repair_result_dict(r) for r in self.repairs]
                         if self.repairs is not None else None),
             "lint": (lint_report_dict(self.lint)
@@ -243,6 +284,7 @@ class _Item:
     cache_key: str | None = None   # None = uncacheable (repair)
     cached_value: object = None
     outcome_value: object = None
+    resident: _Resident | None = None  # the session's entry for the value
     stats: ItemStats | None = None
     corrupt: int = 0               # corrupt cache entries hit by the probe
 
@@ -298,7 +340,7 @@ class ClouSession:
         directory = cache_dir if cache_dir is not None else env_cache_dir()
         self.cache = ResultCache(directory) if (cache and directory) else None
         self.stats = SessionStats(jobs=self.jobs)
-        self._resident: "OrderedDict[str, object]" = OrderedDict()
+        self._resident: "OrderedDict[str, _Resident]" = OrderedDict()
 
     # -- public API --------------------------------------------------------
 
@@ -511,7 +553,8 @@ class ClouSession:
         key = item.cache_key
         try:
             self._resident.move_to_end(key)
-            return self._resident[key]
+            item.resident = self._resident[key]
+            return item.resident.value
         except KeyError:
             pass
         payload = self.cache.get(key)
@@ -524,13 +567,14 @@ class ClouSession:
             # inside does not deserialize — as corrupt as bad bytes.
             self.cache.quarantine(key)
             return None
-        self._remember(key, value)
+        item.resident = self._remember(key, value)
         return value
 
-    def _remember(self, key: str, value) -> None:
-        self._resident[key] = value
+    def _remember(self, key: str, value) -> _Resident:
+        resident = self._resident[key] = _Resident(value)
         while len(self._resident) > _RESIDENT_SIZE:
             self._resident.popitem(last=False)
+        return resident
 
     def _store_cache(self, item: _Item) -> None:
         if self.cache is None or item.cache_key is None:
@@ -550,9 +594,11 @@ class ClouSession:
             # Decoded from the payload just written, so the resident
             # copy equals what a disk read of it returns (raw witnesses
             # reduced to transmitters), not the fresh report the caller
-            # receives.
-            self._remember(item.cache_key,
-                           _decode(item.payload["kind"], payload["report"]))
+            # receives.  Its stable text is the fresh report's all the
+            # same, so a response may encode either.
+            item.resident = self._remember(
+                item.cache_key,
+                _decode(item.payload["kind"], payload["report"]))
 
     # -- assembly ----------------------------------------------------------
 
@@ -574,6 +620,7 @@ class ClouSession:
             result.stats.skipped = report.skipped
             report.stats = result.stats
             result.report = report
+            result.resident = [item.resident for item in items]
         elif request.kind == "repair":
             result.repairs = list(values)
         else:

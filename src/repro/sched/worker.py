@@ -13,7 +13,9 @@ one-S-AEG-per-function sharing across engines):
 - the **module cache** — the ``compile_c`` output keyed by source
   digest, so the translation unit is tokenized and compiled once per
   process, not once per (function, engine) item; the session's
-  function digests read the token spans the module carries;
+  function digests read the token spans the module carries.  A new
+  version of a unit compiles against the unit's latest cached module,
+  reusing every definition the edit did not touch;
 - the **S-AEG cache** — ``build_acfg`` + :class:`SAEG` keyed by (source
   digest, function).  Both detection engines read the same S-AEG; the
   engines never mutate it (``ClouSTL`` keeps its bypass table on the
@@ -71,12 +73,19 @@ def _cached(cache: OrderedDict, size: int, key, build):
 
 
 def module_for(source: str, name: str = ""):
-    """The compiled module for ``source`` (process-local memo)."""
+    """The compiled module for ``source`` (process-local memo).  A miss
+    compiles against the latest memoized module of the same ``name``,
+    so the definitions an edit left alone are not parsed or lowered
+    again."""
     from repro.minic import compile_c
 
+    def build():
+        previous = next((module for module in reversed(_module_cache.values())
+                         if module.name == name), None)
+        return compile_c(source, name=name, previous=previous)
+
     key = source_digest(source) + "\x00" + name
-    return _cached(_module_cache, _MODULE_CACHE_SIZE, key,
-                   lambda: compile_c(source, name=name))
+    return _cached(_module_cache, _MODULE_CACHE_SIZE, key, build)
 
 
 def saeg_for(source: str, name: str, function: str) -> SAEG:

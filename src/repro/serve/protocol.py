@@ -47,7 +47,10 @@ Envelope lines are bounded by :data:`MAX_LINE_BYTES`
 
 The payloads inside the envelope are exactly the library wire forms
 (:meth:`AnalysisRequest.to_dict` / :meth:`AnalysisResult.to_dict`):
-the protocol adds routing, not another serialization.
+the protocol adds routing, not another serialization.  The daemon
+writes an ``analyze`` response from :meth:`AnalysisResult.to_json`,
+which keeps the encoded entries of unchanged reports, but the line is
+byte for byte ``encode(make_response(id, result=result.to_dict()))``.
 """
 
 from __future__ import annotations

@@ -53,6 +53,22 @@ Fleet robustness:
   deterministically.  All serve-site actions are scoped to one
   connection or message; the daemon process always survives.
 
+Per request, only what the edit moved is paid for:
+
+- **encode once** — an ``analyze`` reply is written by
+  :func:`encode_result` from :meth:`AnalysisResult.to_json`, which
+  splices in the encoded function entries the session keeps on its
+  resident reports; the line is byte-identical to
+  ``protocol.encode(protocol.make_response(id, result=result.to_dict()))``.
+- **memos out of the collector's reach** — after each reply the
+  dispatcher calls :func:`settle_heap`: a collection that walks only
+  what this request allocated (earlier survivors are frozen), then
+  ``gc.freeze()`` of the survivors — the compile and S-AEG memos and
+  the resident reports — so later collections never walk them again.
+- ``status`` reports p50/p99 queue wait and service time over the last
+  :data:`LATENCY_WINDOW` ``analyze`` ops (timings never enter a
+  report).
+
 ``shutdown`` (op or :meth:`shutdown` call, e.g. from a SIGTERM
 handler) stops accepting, fails queued work with a structured error,
 and joins the threads — a clean exit, never a mid-write kill.
@@ -60,23 +76,59 @@ and joins the threads — a clean exit, never a mid-write kill.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import itertools
 import os
 import socket
 import threading
 import time
+from collections import deque
 
-from repro.sched import AnalysisRequest, ClouSession
+from repro.clou.serialize import compact_json, json_object
+from repro.sched import AnalysisRequest, AnalysisResult, ClouSession
 from repro.sched.faults import fault_point
 from repro.serve import protocol
 from repro.serve.protocol import OversizedLine, ProtocolError
 
-__all__ = ["ClouServer"]
+__all__ = ["ClouServer", "encode_result", "settle_heap"]
 
 #: How long an injected ``stall`` fault delays one transport step.
 #: Class-level so chaos tests can tune it against their deadlines.
 STALL_SECONDS = 0.2
+
+#: ``analyze`` ops whose queue wait and service time ``status`` ranks.
+LATENCY_WINDOW = 512
+
+
+def encode_result(id: object, result: AnalysisResult) -> bytes:
+    """The response line of an ``analyze`` op: byte for byte
+    ``protocol.encode(protocol.make_response(id, result=result.to_dict()))``,
+    with the result from :meth:`AnalysisResult.to_json`."""
+    result_json = result.to_json()
+    return json_object(
+        (key, result_json if key == "result" else compact_json(value))
+        for key, value in protocol.make_response(id).items()) + b"\n"
+
+
+def settle_heap() -> None:
+    """Run after each reply.  Collect what the request left unreachable
+    (a full collection walks only objects not yet frozen, that is what
+    the request allocated), then freeze the survivors: the long-lived
+    memos and resident reports are never walked by a collection
+    again."""
+    gc.collect()
+    gc.freeze()
+
+
+def _percentiles(samples) -> dict[str, float | None]:
+    """Nearest-rank p50 and p99 in milliseconds."""
+    ranked = sorted(samples)
+    if not ranked:
+        return {"p50_ms": None, "p99_ms": None}
+    return {f"p{q}_ms": round(1000 * ranked[
+        min(len(ranked) - 1, -(-q * len(ranked) // 100) - 1)], 3)
+        for q in (50, 99)}
 
 
 def _garble(data: bytes) -> bytes:
@@ -133,7 +185,10 @@ class _Writer:
         self._lock = threading.Lock()
 
     def send(self, envelope: dict) -> None:
-        data = protocol.encode(envelope)
+        self.write(protocol.encode(envelope))
+
+    def write(self, data: bytes) -> None:
+        """Send one encoded line."""
         action = fault_point("serve.write")
         if action == "drop":
             return
@@ -197,7 +252,7 @@ class ClouServer:
         self._stop = threading.Event()
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)
-        # (priority, seq, writer, id, payload, deadline)
+        # (priority, seq, writer, id, payload, deadline, queued_at)
         self._queue: list = []
         self._seq = itertools.count()
         self._running = 0                 # analyze ops inside session.run
@@ -207,6 +262,8 @@ class ClouServer:
         self._fault_dropped = 0           # discarded by injected faults
         self._buckets: dict[str, _TokenBucket] = {}
         self._tenants: dict[str, dict[str, int]] = {}
+        # (queue wait, service time) in seconds of recent analyze ops
+        self._latency: deque = deque(maxlen=LATENCY_WINDOW)
         self._started = time.monotonic()
         self._threads: list[threading.Thread] = []
 
@@ -243,7 +300,7 @@ class ClouServer:
         with self._work:
             pending, self._queue = self._queue, []
             self._work.notify_all()
-        for _, _, writer, id, _, _ in pending:
+        for _, _, writer, id, *_ in pending:
             writer.send(protocol.error_response(
                 id, "server shutting down", code="shutdown"))
         if self.socket_path and os.path.exists(self.socket_path):
@@ -251,6 +308,7 @@ class ClouServer:
                 os.unlink(self.socket_path)
             except OSError:
                 pass
+        gc.unfreeze()  # hand what settle_heap froze back to the collector
 
     def _join(self) -> None:
         for thread in self._threads:
@@ -418,7 +476,7 @@ class ClouServer:
             self._count_tenant(tenant, "admitted")
             heapq.heappush(self._queue, (req.priority, next(self._seq),
                                          writer, req.id, req.payload,
-                                         req.deadline))
+                                         req.deadline, time.monotonic()))
             self._work.notify()
 
     def _dispatch_loop(self) -> None:
@@ -428,9 +486,10 @@ class ClouServer:
                     self._work.wait()
                 if self._stop.is_set():
                     return
-                (_, _, writer, id, payload,
-                 deadline) = heapq.heappop(self._queue)
+                (_, _, writer, id, payload, deadline,
+                 queued_at) = heapq.heappop(self._queue)
                 self._running += 1
+            started = time.monotonic()
             action = fault_point("serve.dispatch")
             if action in ("drop", "crash"):
                 if action == "crash":
@@ -449,24 +508,27 @@ class ClouServer:
                     id, "deadline exceeded while queued",
                     code="deadline_exceeded"))
                 continue
-            response = self._analyze(id, payload, deadline)
+            line = self._analyze(id, payload, deadline)
             # Count before replying: a client that sends `status` right
             # after its analyze reply must see itself served.
             with self._work:
                 self._running -= 1
                 self._served += 1
-            writer.send(response)
+                self._latency.append((started - queued_at,
+                                      time.monotonic() - started))
+            writer.write(line)
+            settle_heap()
 
     def _analyze(self, id: object, payload: dict,
-                 deadline: float | None) -> dict:
+                 deadline: float | None) -> bytes:
         # Total: a bad payload or a session bug must never kill the
         # dispatcher thread, only this one request.
         try:
             request = AnalysisRequest.from_dict(payload)
             [result] = self.session.run([request], deadline=deadline)
-            return protocol.make_response(id, result=result.to_dict())
+            return encode_result(id, result)
         except Exception as error:
-            return protocol.error_response(id, str(error))
+            return protocol.encode(protocol.error_response(id, str(error)))
 
     # -- introspection -----------------------------------------------------
 
@@ -479,6 +541,7 @@ class ClouServer:
             queued, running = len(self._queue), self._running
             tenants = {name: dict(counts)
                        for name, counts in sorted(self._tenants.items())}
+            latency = list(self._latency)
         return {
             "protocol": protocol.PROTOCOL_VERSION,
             "pid": os.getpid(),
@@ -493,5 +556,10 @@ class ClouServer:
             "fault_dropped": self._fault_dropped,
             "tenant_budget": self.tenant_budget,
             "tenants": tenants,
+            "latency": {
+                "window": len(latency),
+                "queue_wait": _percentiles(wait for wait, _ in latency),
+                "service": _percentiles(run for _, run in latency),
+            },
             "stats": self.session.stats.to_dict(),
         }

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.sched import AnalysisRequest, ClouSession
+from repro.bench.suites import all_cases
 from repro.clou.serialize import module_report_dict, to_json
 
 _SESSION = ClouSession(jobs=1, cache=False)
@@ -136,3 +137,56 @@ class TestStableJson:
         main(["analyze", str(path), "--json"])
         two = capsys.readouterr().out
         assert one == two
+
+
+def _unshared(data):
+    """A report decoded with one NodeRef per occurrence (the decoder
+    before equal references were shared)."""
+    from repro.clou.report import FunctionReport, ModuleReport
+    from repro.clou.serialize import function_report_from_dict, \
+        witness_from_dict
+
+    functions = []
+    for entry in data["functions"]:
+        report = function_report_from_dict(entry)
+        report.witnesses = [witness_from_dict(w)
+                            for w in entry["transmitters"]]
+        functions.append(report)
+    return ModuleReport(name=data["name"], engine=data["engine"],
+                        functions=functions)
+
+
+def _refs(report):
+    return [ref for witness in report.witnesses
+            for ref in (witness.transmit, witness.primitive, witness.access,
+                        witness.index, witness.window_start)
+            if ref is not None]
+
+
+class TestSharedNodeRefs:
+    """``function_report_from_dict`` hands out one NodeRef per distinct
+    value; the decoded reports and their stable JSON are unchanged."""
+
+    CASES = [(case, engine) for case in all_cases()
+             for engine in case.engines]
+
+    @pytest.mark.parametrize(
+        "case,engine", CASES,
+        ids=[f"{case.name}-{engine}" for case, engine in CASES])
+    def test_decoded_report_is_unchanged(self, case, engine):
+        from repro.clou.serialize import module_report_from_dict
+
+        report = _SESSION.analyze(AnalysisRequest.analyze(
+            case.source, engine=engine, name=case.name))
+        stable = to_json(report, stable=True)
+        data = json.loads(stable)
+        decoded = module_report_from_dict(data)
+        reference = _unshared(data)
+        assert decoded.functions == reference.functions
+        assert to_json(decoded, stable=True) == stable
+        decoded.config = reference.config = None
+        assert to_json(decoded, stable=True) == \
+            to_json(reference, stable=True)
+        for function in decoded.functions:
+            refs = _refs(function)
+            assert len({id(ref) for ref in refs}) == len(set(refs))

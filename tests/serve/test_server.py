@@ -16,6 +16,7 @@ from repro.sched import AnalysisRequest, AnalysisResult, ClouSession, \
     SessionStats
 from repro.serve import (ClouClient, ClouServer, DaemonBusy,
                         DaemonUnreachable, protocol)
+from repro.serve.server import encode_result
 
 TWO_VICTIMS = """
 uint8_t A[16];
@@ -511,3 +512,179 @@ class TestCLI:
         code = cli.main(["client", "status", "--socket",
                          str(tmp_path / "missing.sock")])
         assert code == 1
+
+
+def _wire_line(id, result) -> bytes:
+    """The response line as the protocol writes the library wire form."""
+    return protocol.encode(protocol.make_response(id, result=result.to_dict()))
+
+
+class TestEncodeOnce:
+    """``encode_result`` splices the encoded entries of resident reports
+    into the line; it is the protocol's line for ``to_dict()``, byte for
+    byte."""
+
+    def test_analyze_hits_and_misses(self, tmp_path):
+        session = ClouSession(jobs=1, cache=True, cache_dir=str(tmp_path))
+        edited = TWO_VICTIMS.replace("y * 2", "y * 3")
+        ledger = []
+        for number, source in enumerate(
+                (TWO_VICTIMS, TWO_VICTIMS, edited, edited, TWO_VICTIMS)):
+            [result] = session.run([AnalysisRequest.analyze(
+                source, engine="pht", name="two.c")])
+            ledger.append((result.stats.cache_hits,
+                           result.stats.cache_misses))
+            assert encode_result(number, result) == \
+                _wire_line(number, result)
+            # A second encode reads the kept entries.
+            assert encode_result(number, result) == \
+                _wire_line(number, result)
+        assert ledger == [(0, 2), (2, 0), (1, 1), (2, 0), (2, 0)]
+        assert all(resident.entry is not None
+                   for resident in session._resident.values())
+
+    def test_every_other_response_kind(self, tmp_path):
+        from repro.clou.engine import ClouConfig
+
+        session = ClouSession(jobs=1, cache=True, cache_dir=str(tmp_path))
+        capped = ClouConfig(max_witnesses_per_function=1)
+        requests = [
+            AnalysisRequest.lint(TWO_VICTIMS, secrets=("A",)),
+            AnalysisRequest.repair(TWO_VICTIMS, engine="pht"),
+            AnalysisRequest.analyze("void f( {"),
+            AnalysisRequest.analyze(TWO_VICTIMS, engine="nope"),
+            # Incomplete reports are never resident.
+            AnalysisRequest.analyze(TWO_VICTIMS, config=capped),
+        ]
+        results = session.run(requests)
+        results += session.run(requests[-1:], deadline=0.0)
+        results += ClouSession(jobs=1, cache=False).run(requests[-1:])
+        assert not results[-1].report.complete
+        for number, result in enumerate(results):
+            assert encode_result(number, result) == \
+                _wire_line(number, result)
+
+    def test_socket_lines_are_canonical(self, served):
+        request = AnalysisRequest.analyze(TWO_VICTIMS, engine="pht",
+                                          name="two.c")
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.connect(served.socket_path)
+            lines = sock.makefile("rb")
+            for number in range(3):
+                sock.sendall(protocol.encode(protocol.make_request(
+                    "analyze", id=number, request=request.to_dict(),
+                    deadline=0.0 if number == 2 else None)))
+                line = lines.readline()
+                envelope = protocol.decode_line(line)
+                # The compact encoding of what it decodes to.
+                assert protocol.encode(envelope) == line
+                if number < 2:
+                    local = ClouSession(jobs=1, cache=False).run([request])
+                    assert envelope["result"]["report"] == \
+                        local[0].to_dict()["report"]
+                else:
+                    assert line == protocol.encode(protocol.error_response(
+                        number, "deadline exceeded before the request "
+                        "was queued", code="deadline_exceeded"))
+
+
+class TestLatencyStatus:
+    def test_status_ranks_queue_wait_and_service_time(self, served):
+        empty = {"p50_ms": None, "p99_ms": None}
+        with _client(served) as client:
+            assert client.status()["latency"] == {
+                "window": 0, "queue_wait": empty, "service": empty}
+            results = [client.analyze(AnalysisRequest.analyze(TWO_VICTIMS))
+                       for _ in range(3)]
+            latency = client.status()["latency"]
+        assert latency["window"] == 3
+        for name in ("queue_wait", "service"):
+            assert 0 <= latency[name]["p50_ms"] <= latency[name]["p99_ms"]
+        assert latency["service"]["p50_ms"] > 0
+        # Timings stay out of the stable report.
+        for result in results:
+            assert "latency" not in to_json(result.report, stable=True)
+
+    def test_window_is_bounded(self, tmp_path, monkeypatch):
+        from repro.serve import server as server_module
+
+        monkeypatch.setattr(server_module, "LATENCY_WINDOW", 2)
+        server = ClouServer(ClouSession(jobs=1, cache=False),
+                            socket_path=str(tmp_path / "clou.sock"))
+        server.start()
+        try:
+            with _client(server) as client:
+                for _ in range(3):
+                    client.analyze(AnalysisRequest.analyze("int x;"))
+                assert client.status()["latency"]["window"] == 2
+        finally:
+            server.shutdown()
+
+    def test_percentiles_are_nearest_rank(self):
+        from repro.serve.server import _percentiles
+
+        assert _percentiles([0.001 * n for n in range(1, 101)]) == \
+            {"p50_ms": 50.0, "p99_ms": 99.0}
+        assert _percentiles([0.004, 0.002]) == {"p50_ms": 2.0,
+                                                "p99_ms": 4.0}
+
+
+class TestHeap:
+    """After each reply the dispatcher collects what the request left
+    unreachable and freezes the survivors (``settle_heap``)."""
+
+    def test_edit_stream_strands_nothing_and_does_not_grow(
+            self, tmp_path, monkeypatch):
+        import gc
+        import re
+
+        from repro.bench.synthetic import generate_function
+        from repro.sched import worker
+        from repro.serve import server as server_module
+
+        settled = threading.Semaphore(0)
+        settle = server_module.settle_heap
+
+        def counted():
+            settle()
+            settled.release()
+        monkeypatch.setattr(server_module, "settle_heap", counted)
+        functions = [generate_function(f"fn_{index}", rounds, seed=index)
+                     for index, rounds in enumerate((2, 3, 2, 4))]
+        acc = re.compile(r"uint64_t acc = \d+;")
+        worker.clear_caches()
+        gc.collect()
+        session = ClouSession(jobs=1, cache=True,
+                              cache_dir=str(tmp_path / "cache"))
+        server = ClouServer(session, socket_path=str(tmp_path / "s.sock"))
+        server.start()
+        tracked = {}
+        try:
+            with _client(server) as client:
+                for number in range(200):
+                    if number % 4 != 3:
+                        index = number % len(functions)
+                        functions[index] = acc.sub(
+                            f"uint64_t acc = {number};", functions[index])
+                    result = client.analyze(AnalysisRequest.analyze(
+                        "\n\n".join(functions), name="unit.c"))
+                    assert result.ok
+                    assert settled.acquire(timeout=60)
+                    if number in (99, 199):
+                        tracked[number] = gc.get_freeze_count() \
+                            + len(gc.get_objects())
+        finally:
+            server.shutdown()  # also unfreezes
+            worker.clear_caches()
+        # 100 more requests leave the heap as large as they found it
+        # (give or take the memos' turnover).
+        assert tracked[199] - tracked[99] < 2000, tracked
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            gc.collect()
+            stranded = [type(obj).__name__ for obj in gc.garbage
+                        if type(obj).__module__.startswith("repro.")]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert stranded == []
