@@ -1,7 +1,7 @@
 # Convenience targets for the reproduction.
 
 .PHONY: install test test-all lint bench bench-check bench-sched \
-	bench-solver bench-smoke bench-saeg bench-window bench-daemon \
+	bench-saeg bench-window bench-daemon \
 	json-identity loc table2 \
 	fig8 repair \
 	gallery fuzz fuzz-smoke \
@@ -21,7 +21,6 @@ test:
 	pytest tests/ -q -m "not slow"
 	$(MAKE) fuzz-smoke
 	$(MAKE) fuzz-contract-smoke
-	$(MAKE) bench-smoke
 	$(MAKE) fault-smoke
 	$(MAKE) chaos-smoke
 	$(MAKE) engines-smoke
@@ -144,12 +143,6 @@ bench-e2e-smoke:
 bench-sched:
 	python benchmarks/bench_scheduler.py $(if $(BASELINE),--baseline $(BASELINE))
 
-# Incremental-vs-fresh SAT ablation on subrosa's XWitnessEncoder
-# (persistent assumption-based solving vs a fresh solver per query);
-# writes BENCH_solver.json.
-bench-solver:
-	python benchmarks/bench_solver.py
-
 # S-AEG construction, per phase, against the original algorithms kept
 # in tests/clou/saeg_reference.py (donna, chacha20, synth_60); writes
 # BENCH_saeg.json and fails if the two builds differ.
@@ -181,11 +174,6 @@ loc:
 # source tree BASELINE; exits 1 on any difference.
 json-identity:
 	python benchmarks/json_identity.py --baseline $(BASELINE)
-
-# Fast CI check that subrosa's persistent solver and the fresh-solver
-# reference agree on a short require/forbid + enumeration stream.
-bench-smoke:
-	python benchmarks/bench_solver.py --smoke
 
 table2:
 	python -m repro.bench.table2

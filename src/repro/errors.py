@@ -31,10 +31,6 @@ class ModelError(ReproError):
     """Raised when an MCM/LCM specification is malformed or misused."""
 
 
-class SolverError(ReproError):
-    """Raised on malformed SAT solver input."""
-
-
 class AnalysisError(ReproError):
     """Raised when Clou cannot analyze a function."""
 

@@ -18,10 +18,8 @@ serialize-roundtrip C        stable report JSON -> from_dict -> JSON is
                              byte-identical
 jobs-invariance     C        --jobs 2 and serial sessions emit identical
                              stable JSON
-incremental-vs-     any      the S-AEG's bitset realizability check and
-fresh                        XWitnessEncoder's persistent solver agree with
-                             a fresh-solver-per-query SAT reference on
-                             verdicts and projected witness sets
+realizability       C        the S-AEG's bitset realizability check agrees
+                             with a path search from the entry
 degradation         C        a budget-faulted run only degrades verdicts
                              toward unknown (never flips leak<->safe) and
                              confirms no witness the fault-free run lacks
@@ -48,7 +46,7 @@ from repro.fuzz.gen_litmus import GeneratedLitmus, render_program
 from repro.sched import AnalysisRequest
 
 __all__ = ["ORACLES", "Oracle", "OracleSkip", "oracles_for",
-           "path_constraints", "realizable_fresh"]
+           "realizable_by_search"]
 
 
 class OracleSkip(Exception):
@@ -69,7 +67,7 @@ class Oracle:
     """
 
     name: str
-    kind: str                                    # 'c' | 'litmus' | 'any'
+    kind: str                                    # 'c' | 'litmus'
     check: Callable[[object], str | None]
     period: int = 1
     description: str = ""
@@ -378,66 +376,30 @@ def _contract_sidecar(generated: GeneratedC) -> dict | None:
     return None
 
 
-# ----------------------------------------------------------------------
-# Cross-cutting oracles (kind 'any')
-# ----------------------------------------------------------------------
-
-
-def path_constraints(aeg):
-    """Encode the architectural path conditions of an S-AEG's function
-    as boolean constraints (Fig. 7): one variable per block
-    (``x_<label>``, "block executes"), the entry forced, a branch block
-    taking exactly one successor edge, and a block executing iff some
-    incoming edge is taken.  Returns the encoder; callers add query
-    clauses and solve."""
-    from repro.solver import TseitinEncoder, conj, disj, iff, var
-
-    encoder = TseitinEncoder()
+def realizable_by_search(aeg, nodes) -> bool:
+    """Reference for :meth:`repro.clou.aeg.SAEG.realizable`: does one
+    path from the entry pass through every queried block?  A search
+    along the A-CFG's successor edges over (block, queried blocks not
+    yet visited) states with an explicit stack; it shares nothing with
+    the chain check's reachability masks and topological positions."""
+    successors = {block.label: block.successors()
+                  for block in aeg.function.blocks}
     entry = aeg.function.entry.label
-    encoder.assert_expr(var(f"x_{entry}"))
-    incoming: dict[str, list] = {}
-    for block in aeg.function.blocks:
-        successors = block.successors()
-        executed = var(f"x_{block.label}")
-        if len(successors) == 2:
-            then_edge = var(f"e_{block.label}->{successors[0]}#0")
-            else_edge = var(f"e_{block.label}->{successors[1]}#1")
-            encoder.assert_expr(iff(executed, disj(then_edge, else_edge)))
-            encoder.assert_expr(
-                executed >> ~conj(then_edge, else_edge)
-            )
-            incoming.setdefault(successors[0], []).append(then_edge)
-            incoming.setdefault(successors[1], []).append(else_edge)
-        elif len(successors) == 1:
-            edge = var(f"e_{block.label}->{successors[0]}#0")
-            encoder.assert_expr(iff(executed, edge))
-            incoming.setdefault(successors[0], []).append(edge)
-    for block in aeg.function.blocks:
-        if block.label == entry:
-            continue
-        executed = var(f"x_{block.label}")
-        edges = incoming.get(block.label, [])
-        if edges:
-            encoder.assert_expr(iff(executed, disj(*edges)))
-        else:
-            encoder.assert_expr(~executed)
-    return encoder
+    start = (entry, frozenset(node.block for node in nodes) - {entry})
+    stack, seen = [start], {start}
+    while stack:
+        label, pending = stack.pop()
+        if not pending:
+            return True
+        for successor in successors[label]:
+            state = (successor, pending - {successor})
+            if state not in seen:
+                seen.add(state)
+                stack.append(state)
+    return False
 
 
-def realizable_fresh(aeg, nodes) -> bool:
-    """SAT reference for :meth:`repro.clou.aeg.SAEG.realizable`: encode
-    the path constraints and solve them with a throwaway solver.  Kept
-    for differential testing (the incremental-vs-fresh oracle and the
-    realizability tests); the engines use the chain check."""
-    from repro.solver import SatSolver, var
-
-    encoder = path_constraints(aeg)
-    for node in nodes:
-        encoder.assert_expr(var(f"x_{node.block}"))
-    return SatSolver.from_cnf(encoder.cnf).solve() is not None
-
-
-def _ivf_c(generated: GeneratedC) -> str | None:
+def _realizability(generated: GeneratedC) -> str | None:
     from repro.clou import SAEG, build_acfg
     from repro.minic import compile_c
 
@@ -452,85 +414,26 @@ def _ivf_c(generated: GeneratedC) -> str | None:
             aeg = SAEG(build_acfg(module, function.name).function)
         except ReproError as error:
             raise OracleSkip(str(error))
-        interesting = (aeg.memory_nodes() + aeg.branches())[:8]
-        queries = [[node] for node in interesting]
+        # One event per block, up to 8 blocks spread over the function:
+        # the first events all sit on the entry's straight-line prefix,
+        # where every query is realizable.
+        heads: dict[str, object] = {}
+        for node in aeg.memory_nodes() + aeg.branches():
+            heads.setdefault(node.block, node)
+        spread = list(heads.values())[::max(1, len(heads) // 8)][:8]
+        queries = [[node] for node in spread]
         queries += [[a, b]
-                    for i, a in enumerate(interesting)
-                    for b in interesting[i + 1:]]
-        for nodes in queries[:40]:
+                    for i, a in enumerate(spread)
+                    for b in spread[i + 1:]]
+        for nodes in queries:
             chain = aeg.realizable(nodes)
-            fresh = realizable_fresh(aeg, nodes)
-            if chain != fresh:
+            search = realizable_by_search(aeg, nodes)
+            if chain != search:
                 blocks = sorted({n.block for n in nodes})
                 return (f"{function.name}: realizable({blocks}) = "
-                        f"{chain} by the chain check but {fresh} on a "
-                        "fresh solver")
+                        f"{chain} by the chain check but {search} by "
+                        "the path search")
     return None
-
-
-def _ivf_litmus(generated: GeneratedLitmus) -> str | None:
-    from repro.errors import ModelError
-    from repro.lcm.xstate import DirectMappedPolicy
-    from repro.litmus import elaborate
-    from repro.mcm import TSO, consistent_executions
-    from repro.subrosa.encoding import XWitnessEncoder
-
-    def signature(execution):
-        xw = execution.xwitness
-        return tuple(sorted(
-            [("rfx", a.label, b.label) for a, b in xw.rfx]
-            + [("kind", e.label, k.value) for e, k in xw.kinds.items()]
-        ))
-
-    try:
-        structures = elaborate(generated.program)
-        executions = [e for s in structures
-                      for e in consistent_executions(s, TSO)[:2]]
-    except ModelError as error:
-        raise OracleSkip(str(error))
-    for execution in executions[:3]:
-        try:
-            encoder = XWitnessEncoder(execution, DirectMappedPolicy())
-        except ModelError as error:
-            raise OracleSkip(str(error))
-        limit = 120  # bounds the quadratic fresh-per-query reference
-        baseline = sorted(signature(c) for c in encoder.enumerate(limit))
-        # A truncated enumeration is order-dependent, so witness-set
-        # comparisons only apply when the space was exhausted; the
-        # per-edge verdict checks below always apply.
-        complete = len(baseline) < limit
-        if complete:
-            reference = sorted(signature(c)
-                               for c in encoder.enumerate_fresh(limit))
-            if baseline != reference:
-                return (f"persistent enumerate found {len(baseline)} witness "
-                        f"projections, fresh reference {len(reference)}")
-        for edge in encoder.candidate_edges()[:6]:
-            for constraint in ("require", "forbid"):
-                query = {constraint: [edge]}
-                incremental = encoder.solve(**query) is None
-                fresh = encoder.solve_fresh(**query) is None
-                if incremental != fresh:
-                    writer, reader = edge
-                    return (f"solve({constraint}=[{writer.label}->"
-                            f"{reader.label}]) verdicts disagree: "
-                            f"UNSAT={incremental} incrementally, "
-                            f"UNSAT={fresh} on a fresh solver")
-        # The query stream above must not pollute the witness space
-        # (the historical assert-into-the-encoder bug).
-        if complete:
-            after = sorted(signature(c) for c in encoder.enumerate(limit))
-            if after != baseline:
-                return ("witness set changed after partial-instance "
-                        f"queries: {len(baseline)} -> {len(after)} "
-                        "projections")
-    return None
-
-
-def _incremental_vs_fresh(generated) -> str | None:
-    if isinstance(generated, GeneratedC):
-        return _ivf_c(generated)
-    return _ivf_litmus(generated)
 
 
 ORACLES: dict[str, Oracle] = {
@@ -557,13 +460,9 @@ ORACLES: dict[str, Oracle] = {
                description="relational conformance: ctrace-equal input "
                            "pairs stay htrace-equal on every hardware "
                            "policy the contract covers"),
-        # period must be odd: the runner alternates C (even iteration)
-        # and litmus (odd) inputs, and an "any" oracle with an even
-        # period would only ever see one kind.
-        Oracle("incremental-vs-fresh", "any", _incremental_vs_fresh,
-               period=3,
-               description="persistent assumption-based solving agrees "
-                           "with fresh-solver-per-query references"),
+        Oracle("realizability", "c", _realizability, period=3,
+               description="the S-AEG's realizability chain check agrees "
+                           "with a path search from the entry"),
     ]
 }
 

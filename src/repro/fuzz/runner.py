@@ -158,7 +158,7 @@ def run_fuzz(seed: int = 0, iterations: int = 100,
             break
         generated = _input_for(seed, iteration)
         for oracle in oracles:
-            if oracle.kind not in ("any", generated.kind):
+            if oracle.kind != generated.kind:
                 continue
             if oracle.profile \
                     and getattr(generated, "profile", "") != oracle.profile:

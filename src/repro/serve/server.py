@@ -33,8 +33,8 @@ Fleet robustness:
   a queued op whose deadline passes before dispatch is dropped with a
   structured ``deadline_exceeded`` response (never silently run), and
   one that dispatches in time hands its *remaining* budget to
-  :meth:`ClouSession.run`, which clamps the solver's cooperative
-  budget so in-flight work degrades toward *unknown* instead of
+  :meth:`ClouSession.run`, which clamps the engines' cooperative
+  search budget so in-flight work degrades toward *unknown* instead of
   overrunning.
 - **per-tenant admission control** — with ``tenant_budget`` set, each
   distinct ``tenant`` string gets a token bucket of N ``analyze``

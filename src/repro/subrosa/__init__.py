@@ -1,11 +1,9 @@
 """subrosa: design and formal analysis of LCM specifications (§3.4)."""
 
-from repro.subrosa.encoding import XWitnessEncoder
 from repro.subrosa.finder import Comparison, check, compare, find, instances
 
 __all__ = [
     "Comparison",
-    "XWitnessEncoder",
     "check",
     "compare",
     "find",

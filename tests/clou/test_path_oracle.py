@@ -1,7 +1,7 @@
 """Fig. 7 path realizability: the S-AEG's entry-rooted bitset chain
-check (``SAEG.realizable``) against the SAT reference that encodes the
-path constraints and solves them on a fresh solver per query
-(``repro.fuzz.oracles.realizable_fresh``).
+check (``SAEG.realizable``) against a fresh path search per query from
+the entry along the A-CFG's successor edges
+(``repro.fuzz.oracles.realizable_by_search``).
 
 Every corpus the analysis runs on is covered — the litmus suites, the
 crypto files, the Fig. 8 synthetics up to 60 rounds, the OpenSSL-shaped
@@ -10,25 +10,19 @@ unit and generated C programs — with seeded random block sets of size
 """
 
 import random
-from pathlib import Path
 
 import pytest
 
-import repro.clou
 from repro.bench.suites import all_litmus, by_name, crypto_cases
 from repro.bench.synthetic import openssl_like_source, scaling_corpus
 from repro.clou import SAEG, build_acfg
 from repro.clou.serialize import to_json
 from repro.fuzz.gen_c import generate_c
-from repro.fuzz.oracles import realizable_fresh
+from repro.fuzz.oracles import realizable_by_search
 from repro.minic import compile_c
 from repro.sched import AnalysisRequest
 
 QUERIES = 40         # per function: 3/5 random block sets, 2/5 engine shapes
-#: The SAT reference re-encodes the whole function per query: ~0.8 s on
-#: donna's 2,815 blocks, so functions this large get a quarter of the
-#: queries.
-LARGE_BLOCKS = 1000
 
 
 def _aegs(source):
@@ -44,31 +38,29 @@ def _queries(aeg, seed):
     (access, transmit) and (branch, transmit) pairs and (index|store,
     access, transmit) triples over memory and branch nodes."""
     rng = random.Random(repr((seed, aeg.function.name)))
-    total = QUERIES // 4 if len(aeg.function.blocks) > LARGE_BLOCKS \
-        else QUERIES
     heads = [nodes[0] for nodes in aeg.by_block.values() if nodes]
     events = aeg.memory_nodes() + aeg.branches()
-    shapes = total * 2 // 5 if len(events) >= 3 else 0
+    shapes = QUERIES * 2 // 5 if len(events) >= 3 else 0
     queries = [rng.sample(heads, rng.randint(1, min(4, len(heads))))
-               for _ in range(total - shapes)]
+               for _ in range(QUERIES - shapes)]
     queries += [rng.sample(events, rng.choice((2, 3)))
                 for _ in range(shapes)]
     return queries
 
 
 def _disagreements(source, seed=0):
-    """(function, blocks, chain, fresh) for every query the two
+    """(function, blocks, chain, search) for every query the two
     realizability checks answer differently; also the query count."""
     mismatches, count = [], 0
     for aeg in _aegs(source):
         for nodes in _queries(aeg, seed):
             count += 1
             chain = aeg.realizable(nodes)
-            fresh = realizable_fresh(aeg, nodes)
-            if chain != fresh:
+            search = realizable_by_search(aeg, nodes)
+            if chain != search:
                 mismatches.append((aeg.function.name,
                                    sorted({n.block for n in nodes}),
-                                   chain, fresh))
+                                   chain, search))
     return mismatches, count
 
 
@@ -90,7 +82,7 @@ class TestAgreementWithFresh:
         streams += [[a, b] for i, a in enumerate(nodes) for b in nodes[i + 1:]]
         streams += [nodes[i:i + 3] for i in range(len(nodes) - 2)]
         for query in streams:
-            assert aeg.realizable(query) == realizable_fresh(aeg, query), \
+            assert aeg.realizable(query) == realizable_by_search(aeg, query), \
                 [n.block for n in query]
 
     @pytest.mark.parametrize("case", [c.name for c in all_litmus()])
@@ -123,8 +115,9 @@ class TestAgreementWithFresh:
         nodes = [aeg.by_block["orphan.0"][0],
                  aeg.by_block[exit_label][0]]
         assert not aeg.realizable(nodes)
-        assert not realizable_fresh(aeg, nodes)
-        assert aeg.realizable(nodes[1:]) and realizable_fresh(aeg, nodes[1:])
+        assert not realizable_by_search(aeg, nodes)
+        assert aeg.realizable(nodes[1:]) \
+            and realizable_by_search(aeg, nodes[1:])
 
 
 @pytest.mark.slow
@@ -155,8 +148,8 @@ class TestAgreementAtScale:
 
 class TestEngineIntegration:
     def test_output_identical_with_fresh_oracle(self, monkeypatch):
-        """Swapping the chain check for the fresh-solver SAT reference
-        must leave the analysis output byte-identical."""
+        """Swapping the chain check for the path-search reference must
+        leave the analysis output byte-identical."""
         from repro.sched import ClouSession
 
         source = by_name("pht03").source
@@ -166,13 +159,6 @@ class TestEngineIntegration:
             return session.analyze(AnalysisRequest.analyze(source, engine="pht", name="diff"))
 
         baseline = to_json(fresh_report(), stable=True)
-        monkeypatch.setattr(SAEG, "realizable", realizable_fresh)
+        monkeypatch.setattr(SAEG, "realizable", realizable_by_search)
         assert to_json(fresh_report(), stable=True) == baseline
 
-
-def test_clou_does_not_refer_to_the_solver():
-    """The SAT reference lives in :mod:`repro.fuzz.oracles`; the Clou
-    package itself answers realizability without a solver."""
-    package = Path(repro.clou.__file__).parent
-    assert [path.name for path in sorted(package.rglob("*.py"))
-            if "repro.solver" in path.read_text()] == []

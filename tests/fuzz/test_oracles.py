@@ -22,7 +22,7 @@ class TestSelection:
 
     def test_kinds_partition(self):
         kinds = {o.kind for o in ORACLES.values()}
-        assert kinds == {"c", "litmus", "any"}
+        assert kinds == {"c", "litmus"}
 
 
 class TestLitmusOracles:
@@ -57,40 +57,31 @@ class TestReportOracles:
         assert ORACLES["jobs-invariance"].check(generate_c(1)) is None
 
 
-class TestIncrementalVsFresh:
+class TestRealizability:
     def test_registered_and_listed(self, capsys):
         from repro.cli import main
 
-        oracle = ORACLES["incremental-vs-fresh"]
-        assert oracle.kind == "any"
+        oracle = ORACLES["realizability"]
+        assert (oracle.kind, oracle.period) == ("c", 3)
         assert main(["fuzz", "--list-oracles"]) == 0
-        assert "incremental-vs-fresh" in capsys.readouterr().out
+        assert "realizability" in capsys.readouterr().out
 
     def test_passes_on_generated_c(self):
-        oracle = ORACLES["incremental-vs-fresh"]
+        oracle = ORACLES["realizability"]
         for seed in range(6):
             assert oracle.check(generate_c(seed)) is None
 
-    def test_passes_on_generated_litmus(self):
-        oracle = ORACLES["incremental-vs-fresh"]
-        for seed in range(6):
-            assert oracle.check(generate_litmus(seed)) is None
+    def test_detects_wrong_realizable(self, monkeypatch):
+        """The oracle's reason to exist: a chain check that tests each
+        block on its own, not all of them on one path, is flagged."""
+        from repro.clou import SAEG
 
-    def test_detects_polluting_solve(self, monkeypatch):
-        """The oracle's reason to exist: a solve() that asserts its
-        partial-instance constraints into the shared encoder (the old
-        bug) is flagged as an incremental-vs-fresh divergence."""
-        from repro.subrosa.encoding import XWitnessEncoder
+        realizable = SAEG.realizable
 
-        def polluting_solve(self, require=(), forbid=()):
-            for literal in self._assumptions(require, forbid):
-                self.solver.add_clause([literal])  # permanent assertion
-            model = self.solver.solve()
-            if model is None:
-                return None
-            return self.decode(self.encoder.cnf.decode(model))
+        def each_block_alone(self, nodes):
+            return all(realizable(self, [node]) for node in nodes)
 
-        monkeypatch.setattr(XWitnessEncoder, "solve", polluting_solve)
-        oracle = ORACLES["incremental-vs-fresh"]
-        messages = [oracle.check(generate_litmus(seed)) for seed in range(12)]
+        monkeypatch.setattr(SAEG, "realizable", each_block_alone)
+        oracle = ORACLES["realizability"]
+        messages = [oracle.check(generate_c(seed)) for seed in range(12)]
         assert any(message is not None for message in messages)

@@ -19,6 +19,8 @@ from repro.subrosa import check, compare, find, instances
 TINY = parse_program("r1 = load x\nstore y, r1", name="tiny")
 TWO_LOADS = parse_program("r1 = load x\nr2 = load x", name="two-loads")
 
+STORE_LOAD = parse_program("store x, 1\nr1 = load x", name="store-load")
+
 BYPASS = parse_program("""
   store y, 1
   r1 = load y
@@ -88,6 +90,50 @@ class TestCheck:
             lambda e: (e.rfx | e.cox | e.frx | e.structure.tfo).is_acyclic(),
         )
         assert counterexample is None
+
+
+def _store_to_load(execution):
+    """The (write, read) rfx edge from the store to the committed load."""
+    structure = execution.structure
+    read = next(r for r in structure.reads
+                if r.committed and r not in structure.bottoms)
+    return structure.writes[0], read
+
+
+class TestPartialInstanceQueries:
+    """Alloy-style partial instances: rfx edges a model must contain or
+    must not contain, phrased as predicates over the bounded space."""
+
+    def test_require_edge(self):
+        lcm = _lcm(confidentiality_x86)
+        found = find(lcm, STORE_LOAD,
+                     lambda e: _store_to_load(e) in e.rfx)
+        assert found
+        assert _store_to_load(found[0]) in found[0].rfx
+
+    def test_forbid_edge_finds_deviation(self):
+        """Forbidding the expected rfx edge yields an NI-violating
+        model: a leak on exactly that edge."""
+        lcm = _lcm(confidentiality_x86)
+        found = find(lcm, STORE_LOAD,
+                     lambda e: _store_to_load(e) not in e.rfx)
+        assert found
+        edge = _store_to_load(found[0])
+        assert any(leak.edge == edge for leak in detect_leaks(found[0]))
+
+    def test_unsatisfiable_query(self):
+        """The read cannot source from both the write and ⊤."""
+        lcm = _lcm(confidentiality_x86)
+
+        def both_sources(execution):
+            write, read = _store_to_load(execution)
+            top = execution.structure.top
+            return (write, read) in execution.rfx \
+                and (top, read) in execution.rfx
+
+        assert find(lcm, STORE_LOAD, both_sources) == []
+        assert check(lcm, STORE_LOAD,
+                     lambda e: not both_sources(e)) is None
 
 
 class TestCompare:
